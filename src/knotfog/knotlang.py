@@ -14,6 +14,9 @@ Grammar (whitespace insignificant, `#` binds loosest and associates left):
     TRI   := "yes" | "no" | "unknown"
     INT   := optional "-" followed by digits;  NAME := letter (letter|digit|_)*
 
+`kfam(n)` requires 1 <= n <= KFAM_MAX; an argument outside that range,
+however many digits it has, is a positioned ParseError.
+
 The named flags of `atom` may appear in any order, each at most once;
 `render` always prints them in the order torus, cable, slice and prints
 defaults explicitly, so that parse(render(e)) == e.
@@ -24,6 +27,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
+
+
+# Largest accepted kfam index.  The Alexander polynomial of kfam(n) is
+# (-2t^2 + 5t - 2)^n, whose coefficients are bounded in absolute value by
+# the sum of their absolute values, 9^n; 9^4096 has 3909 decimal digits,
+# so every coefficient renders below CPython's 4300-digit int-to-str limit.
+KFAM_MAX = 4096
 
 
 class TriState(str, enum.Enum):
@@ -63,13 +73,15 @@ class Fig8(KnotExpr):
 
 @dataclasses.dataclass(frozen=True)
 class Kfam(KnotExpr):
-    """The n-th member of the ribbon pretzel family; n >= 1."""
+    """The n-th member of the ribbon pretzel family; 1 <= n <= KFAM_MAX."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"kfam requires n >= 1, got {self.n}")
+        if self.n > KFAM_MAX:
+            raise ValueError(f"kfam requires n <= {KFAM_MAX}, got {self.n}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,7 +186,8 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def integer(self) -> int:
+    def integer_literal(self) -> str:
+        """The text of the next INT, not yet converted."""
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
@@ -183,7 +196,10 @@ class _Parser:
             raise self.error("expected an integer", start)
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        return self.text[start:self.pos]
+
+    def integer(self) -> int:
+        return int(self.integer_literal())
 
     def tri(self) -> TriState:
         start = self.pos
@@ -236,11 +252,18 @@ class _Parser:
     def _parse_kfam(self, start: int) -> Kfam:
         self.expect("(")
         at_n = self.pos
-        n = self.integer()
+        literal = self.integer_literal()
         self.expect(")")
-        if n < 1:
-            raise self.error(f"kfam requires n >= 1, got {n}", at_n)
-        return Kfam(n)
+        # Measured before int(), which refuses literals over 4300 digits.
+        magnitude = literal.lstrip("-").lstrip("0") or "0"
+        if len(magnitude) > len(str(KFAM_MAX)):
+            raise self.error(f"kfam requires 1 <= n <= {KFAM_MAX}, "
+                             f"got a {len(magnitude)}-digit integer", at_n)
+        n = -int(magnitude) if literal.startswith("-") else int(magnitude)
+        try:
+            return Kfam(n)
+        except ValueError as exc:  # the node's own range check, positioned
+            raise self.error(str(exc), at_n) from None
 
     def _parse_wh0(self) -> Wh0:
         self.expect("(")

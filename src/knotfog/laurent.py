@@ -133,26 +133,60 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """p**k by the J.C.P. Miller recurrence, one coefficient at a time.
+
+        Write p = t^m * a(t) with a = a_0 + ... + a_d t^d; a_0 != 0 because
+        a nonzero polynomial never stores a zero first coefficient.  Then
+        p^k = t^(mk) * q(t) with q = a^k, and differentiating gives
+        a * q' = k * a' * q.  Comparing coefficients of t^(j-1):
+
+            q_0 = a_0^k,
+            q_j = sum_{i=1..min(j,d)} ((k+1)*i - j) * a_i * q_(j-i) / (j * a_0),
+
+        one pass over the dk + 1 coefficients of q with at most d products
+        each (Knuth, TAOCP Vol. 2, section 4.7; Zeilberger, "The J.C.P.
+        Miller recurrence for exponentiating a polynomial, and its
+        q-analog", 1995).  Every division is exact: q is a power of an
+        integer polynomial, so q_j is an integer, and since j * a_0 != 0
+        the recurrence forces the numerator to equal j * a_0 * q_j.  A
+        nonzero remainder can only be a bug, so it raises rather than
+        rounding.
+        """
         if k < 0:
             raise ValueError("negative powers are not defined for general Laurent polynomials")
-        out = ONE
-        square = self
-        while k:
-            if k & 1:
-                out = out * square
-            square = square * square
-            k >>= 1
-        return out
+        if k == 0:
+            return ONE
+        if not self.coeffs:
+            return ZERO
+        a = self.coeffs
+        d = len(a) - 1
+        a0 = a[0]
+        q = [a0 ** k]
+        for j in range(1, d * k + 1):
+            total = 0
+            for i in range(1, min(j, d) + 1):
+                if a[i]:
+                    total += ((k + 1) * i - j) * a[i] * q[j - i]
+            qj, rem = divmod(total, j * a0)
+            if rem:
+                raise ArithmeticError(f"inexact Miller step j={j} in ({self!r}) ** {k}")
+            q.append(qj)
+        return LaurentPoly(self.min_degree * k, q)
 
     def evaluate(self, x: "int | Fraction") -> Fraction:
-        """Exact substitution t := x; x must be nonzero (negative exponents)."""
+        """Exact substitution t := x; x must be nonzero (negative exponents).
+
+        Horner's rule over the stored coefficients, in integers when x is
+        an integer, times x^min_degree once at the end.
+        """
         x = Fraction(x)
         if x == 0:
             raise ValueError("cannot evaluate at t = 0: negative exponents")
-        total = Fraction(0)
-        for k, c in self.terms():
-            total += c * x ** k
-        return total
+        step = x.numerator if x.denominator == 1 else x
+        total = 0
+        for c in reversed(self.coeffs):
+            total = total * step + c
+        return total * x ** self.min_degree
 
     # -- unit normalization ----------------------------------------------
 

@@ -38,13 +38,13 @@ def _check(condition: bool, message: str) -> None:
 
 
 def pretzel_polynomial_identity() -> str:
-    """det of the banded family matrix equals the closed power form, n = 1..6."""
-    for n in range(1, 7):
+    """det of the banded family matrix equals the closed power form, n = 1..12."""
+    for n in range(1, 13):
         via_det = seifert.alexander_polynomial(seifert.theta(n)).canonical()
         via_pow = (classical.PRETZEL_BASE ** n).canonical()
         _check(via_det == via_pow,
                f"n={n}: determinant route {via_det} != power route {via_pow}")
-    return "n=1..6 determinant vs power: exact match"
+    return "n=1..12 determinant vs power: exact match"
 
 
 def whitehead_family_table() -> str:

@@ -1,9 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import knotfog
 from knotfog import cli, selftest
+from knotfog.knotlang import KFAM_MAX
 from knotfog.seifert import SeifertMatrix, theta
 
 TREFOIL_REPORT = """\
@@ -67,6 +74,37 @@ class TestInvariants:
         first = capsys.readouterr().out
         cli.main(["invariants", "ksat(fig8, kfam(2), 1, -2)", "--json"])
         assert capsys.readouterr().out == first
+
+    def test_large_kfam_report_is_fast(self):
+        # generous budget: guards against a return of the quadratic power
+        start = time.perf_counter()
+        report = cli.build_report("kfam(2000)")
+        assert time.perf_counter() - start < 5.0
+        assert report.facts.alexander.degree == 4000
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(knotfog.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "knotfog.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestKfamLimit:
+    @pytest.mark.parametrize("literal", [str(KFAM_MAX + 1), "9" * 4400, "-" + "9" * 4400])
+    def test_out_of_range_is_positioned_rejection(self, literal):
+        proc = run_cli("invariants", f"kfam({literal})", "--json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
+        assert "(at position 5)" in lines[0] and str(KFAM_MAX) in lines[0]
+
+    def test_leading_zeros_do_not_count(self, capsys):
+        assert cli.main(["invariants", "kfam(" + "0" * 5000 + "7)"]) == 0
+        assert capsys.readouterr().out.startswith("expression   kfam(7)\n")
 
 
 FAMILY_TABLE_3 = """\

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, ParseError, Sum, Trefoil,
-                              TriState, Unknot, Wh0, builtin_flags, parse,
+from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, Ksat, ParseError, Sum,
+                              Trefoil, TriState, Unknot, Wh0, builtin_flags, parse,
                               random_expr, render, validate)
 
 
@@ -132,6 +132,11 @@ class TestNodeConstraints:
     def test_kfam_requires_positive(self):
         with pytest.raises(ValueError):
             Kfam(0)
+
+    def test_kfam_upper_limit(self):
+        assert parse(f"kfam({KFAM_MAX})") == Kfam(KFAM_MAX)
+        with pytest.raises(ValueError):
+            Kfam(KFAM_MAX + 1)
 
     def test_atom_requires_genus(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotfog.classical import PRETZEL_BASE
+from knotfog.knotlang import KFAM_MAX
 from knotfog.laurent import LaurentPoly, ONE, T, ZERO, exact_div, unit_equivalent
 
 # -2t^2 + 5t - 2 and its hand-expanded square (schoolbook expansion).
@@ -79,6 +82,33 @@ class TestPow:
         for k in range(1, 7):
             assert BASE ** k == (BASE ** (k - 1)) * BASE
 
+    def test_zero_power(self):
+        assert ZERO ** 0 == ONE
+        assert ZERO ** 5 == ZERO
+
+    def test_monomials_and_units(self):
+        assert LaurentPoly(-2, (3,)) ** 4 == LaurentPoly(-8, (81,))
+        assert LaurentPoly.unit(-3, -1) ** 7 == LaurentPoly.unit(-21, -1)
+
+    def test_interior_zero_coefficients(self):
+        p = LaurentPoly(0, (1, 0, 0, 1))
+        assert p ** 3 == LaurentPoly(0, (1, 0, 0, 3, 0, 0, 3, 0, 0, 1))
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 2000])
+    def test_pretzel_closed_forms(self, n):
+        # -2t^2 + 5t - 2 is -5 at t = 3 and -9 at t = -1
+        p = PRETZEL_BASE ** n
+        assert p.degree == 2 * n and p.min_degree == 0
+        assert p.evaluate(3) == (-5) ** n
+        assert p.evaluate(-1) == (-9) ** n
+        assert p.evaluate(1) == 1
+
+    def test_kfam_limit_renders_under_int_str_limit(self):
+        # fewer than `limit` digits, compared without rendering
+        limit = sys.int_info.default_max_str_digits
+        p = PRETZEL_BASE ** KFAM_MAX
+        assert max(map(abs, p.coeffs)) < 10 ** (limit - 1)
+
 
 class TestEvaluate:
     def test_at_one(self):
@@ -92,6 +122,10 @@ class TestEvaluate:
 
     def test_negative_exponents_give_fractions(self):
         assert LaurentPoly(-1, (1,)).evaluate(2) == Fraction(1, 2)
+
+    def test_fraction_argument(self):
+        assert LaurentPoly(-1, (2, -5, 2)).evaluate(Fraction(1, 2)) == 0
+        assert BASE.evaluate(Fraction(-1, 3)) == Fraction(-35, 9)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -155,6 +189,40 @@ def test_canonical_idempotent(a):
 @given(polys, st.integers(min_value=1, max_value=6))
 def test_pow_unfolds_to_mul(a, k):
     assert a ** k == (a ** (k - 1)) * a
+
+
+def square_and_multiply(p: LaurentPoly, k: int) -> LaurentPoly:
+    """Reference power by repeated squaring over the schoolbook product."""
+    out, square = ONE, p
+    while k:
+        if k & 1:
+            out = out * square
+        k >>= 1
+        if k:
+            square = square * square
+    return out
+
+
+pow_bases = st.one_of(
+    st.builds(LaurentPoly.unit, st.integers(-20, 20), st.sampled_from((1, -1))),
+    st.builds(
+        LaurentPoly,
+        st.integers(min_value=-20, max_value=20),
+        st.lists(st.integers(min_value=-10 ** 12, max_value=10 ** 12), max_size=6)),
+    # negative leading coefficient, large constant term
+    st.builds(
+        lambda lo, c0, mid, top: LaurentPoly(lo, (c0, *mid, top)),
+        st.integers(min_value=-20, max_value=0),
+        st.integers(min_value=10 ** 20, max_value=10 ** 30),
+        st.lists(st.integers(min_value=-9, max_value=9), max_size=4),
+        st.integers(min_value=-50, max_value=-1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pow_bases, st.integers(min_value=0, max_value=12))
+def test_pow_matches_square_and_multiply(a, k):
+    assert a ** k == square_and_multiply(a, k)
 
 
 @settings(max_examples=300)
