@@ -14,8 +14,10 @@ Grammar (whitespace insignificant, `#` binds loosest and associates left):
     TRI   := "yes" | "no" | "unknown"
     INT   := optional "-" followed by digits;  NAME := letter (letter|digit|_)*
 
-`kfam(n)` requires 1 <= n <= KFAM_MAX; an argument outside that range,
-however many digits it has, is a positioned ParseError.
+`kfam(n)` requires 1 <= n <= KFAM_MAX, and every other INT has at most
+INT_DIGITS_MAX digits (sign and leading zeros not counted); a literal
+outside these limits, however many digits it has, is a positioned
+ParseError.
 
 The named flags of `atom` may appear in any order, each at most once;
 `render` always prints them in the order torus, cable, slice and prints
@@ -34,6 +36,13 @@ import random
 # the sum of their absolute values, 9^n; 9^4096 has 3909 decimal digits,
 # so every coefficient renders below CPython's 4300-digit int-to-str limit.
 KFAM_MAX = 4096
+
+# Most digits in an atom genus or a ksat framing.  A ksat's Alexander
+# polynomial is mn - (2mn - 1)t + mn t^2; with |m|, |n| < 10^1000 its
+# coefficients have at most 2001 digits.  An atom's genus g < 10^1000
+# enters the first-order genus as g + max(1, h) or 2g, at most 1001
+# digits.  Both render below CPython's 4300-digit int-to-str limit.
+INT_DIGITS_MAX = 1000
 
 
 class TriState(str, enum.Enum):
@@ -186,8 +195,13 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def integer_literal(self) -> str:
-        """The text of the next INT, not yet converted."""
+    def integer(self, max_digits: int = INT_DIGITS_MAX,
+                limit: str = f"integers have at most {INT_DIGITS_MAX} digits") -> int:
+        """The next INT.  One of more than max_digits digits, sign and
+        leading zeros not counted, is a ParseError at its start saying
+        `limit`; it is measured before int(), which refuses literals of
+        over 4300 digits."""
+        at = self.pos
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
@@ -196,10 +210,11 @@ class _Parser:
             raise self.error("expected an integer", start)
         while self.peek().isdigit():
             self.pos += 1
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        return int(self.integer_literal())
+        literal = self.text[start:self.pos]
+        magnitude = literal.lstrip("-").lstrip("0") or "0"
+        if len(magnitude) > max_digits:
+            raise self.error(f"{limit}, got a {len(magnitude)}-digit integer", at)
+        return -int(magnitude) if literal.startswith("-") else int(magnitude)
 
     def tri(self) -> TriState:
         start = self.pos
@@ -252,14 +267,8 @@ class _Parser:
     def _parse_kfam(self, start: int) -> Kfam:
         self.expect("(")
         at_n = self.pos
-        literal = self.integer_literal()
+        n = self.integer(len(str(KFAM_MAX)), f"kfam requires 1 <= n <= {KFAM_MAX}")
         self.expect(")")
-        # Measured before int(), which refuses literals over 4300 digits.
-        magnitude = literal.lstrip("-").lstrip("0") or "0"
-        if len(magnitude) > len(str(KFAM_MAX)):
-            raise self.error(f"kfam requires 1 <= n <= {KFAM_MAX}, "
-                             f"got a {len(magnitude)}-digit integer", at_n)
-        n = -int(magnitude) if literal.startswith("-") else int(magnitude)
         try:
             return Kfam(n)
         except ValueError as exc:  # the node's own range check, positioned

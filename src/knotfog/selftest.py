@@ -2,8 +2,8 @@
 
 Each criterion is an independent check with its own oracle where one is
 called for: the pretzel determinants are compared against the closed
-power form, the basis enumerator against a vectorized exhaustive search
-over all unimodular 4-tuples, the parser against a serializer
+power form, the closed-form basis bound against a vectorized exhaustive
+search over all unimodular 4-tuples, the parser against a serializer
 round-trip, and the interval engines against their defining
 inequalities on large seeded samples.  Checks are deterministic: all
 randomness is seeded here.
@@ -101,7 +101,7 @@ def subadditivity() -> str:
 
 def _brute_force_min(g_alpha: int, g_beta: int, radius: int = 10) -> int:
     # Vectorized exhaustive search over ALL unimodular 4-tuples in the box;
-    # deliberately shares no code with the pruned enumerator.
+    # deliberately shares no code with firstorder's closed form.
     import numpy as np
 
     side = np.arange(-radius, radius + 1)
@@ -115,21 +115,17 @@ def _brute_force_min(g_alpha: int, g_beta: int, radius: int = 10) -> int:
 
 
 def basis_enumerator_closed_forms() -> str:
-    """min_basis_bound matches g+1 / g+h closed forms and brute force."""
-    for g in range(1, 7):
-        value, witness = firstorder.min_basis_bound(g, 0)
-        _check(value == g + 1, f"min_basis_bound({g}, 0) = {value}, expected {g + 1}")
+    """min_basis_bound is g + max(1, h) and matches exhaustive search for
+    every pair with g + max(1, h) <= 10, the search's box radius."""
+    pairs = [(g, h) for g in range(1, 10) for h in range(10) if g + max(1, h) <= 10]
+    for g, h in pairs:
+        value, witness = firstorder.min_basis_bound(g, h)
+        _check(value == g + max(1, h),
+               f"min_basis_bound({g}, {h}) = {value}, expected {g + max(1, h)}")
         _check(witness.value == value, "witness value disagrees with returned value")
-        _check(_brute_force_min(g, 0) == value,
-               f"brute force disagrees with enumerator at ({g}, 0)")
-    for g in range(1, 6):
-        for h in range(1, 6):
-            value, witness = firstorder.min_basis_bound(g, h)
-            _check(value == g + h,
-                   f"min_basis_bound({g}, {h}) = {value}, expected {g + h}")
-            _check(_brute_force_min(g, h) == value,
-                   f"brute force disagrees with enumerator at ({g}, {h})")
-    return "closed forms and exhaustive search agree on 31 inputs"
+        _check(_brute_force_min(g, h) == value,
+               f"brute force disagrees with the closed form at ({g}, {h})")
+    return f"closed form and exhaustive search agree on {len(pairs)} inputs"
 
 
 def _random_standard_seifert(rng: random.Random, g: int) -> seifert.SeifertMatrix:

@@ -10,7 +10,7 @@ import pytest
 
 import knotfog
 from knotfog import cli, selftest
-from knotfog.knotlang import KFAM_MAX
+from knotfog.knotlang import INT_DIGITS_MAX, KFAM_MAX
 from knotfog.seifert import SeifertMatrix, theta
 
 TREFOIL_REPORT = """\
@@ -52,6 +52,10 @@ class TestInvariants:
             "lo": 3, "hi": 3,
             "provenance": data["first_order_genus"]["provenance"]}
         assert [r["bound"] for r in data["first_order_genus"]["provenance"]] == ["lo", "hi"]
+
+    def test_large_genus_double_answers(self, capsys):
+        assert cli.main(["invariants", "wh0(atom(A, genus=200, cable=no))"]) == 0
+        assert "g1           [201, 201]\n" in capsys.readouterr().out
 
     def test_parse_error_exits_2(self, capsys):
         assert cli.main(["invariants", "kfam(0)"]) == 2
@@ -105,6 +109,36 @@ class TestKfamLimit:
     def test_leading_zeros_do_not_count(self, capsys):
         assert cli.main(["invariants", "kfam(" + "0" * 5000 + "7)"]) == 0
         assert capsys.readouterr().out.startswith("expression   kfam(7)\n")
+
+
+class TestIntegerLimit:
+    @pytest.mark.parametrize("text, position", [
+        ("atom(A, genus=" + "9" * 4400 + ")", 14),
+        ("ksat(fig8, fig8, " + "9" * 4400 + ", 0)", 16),
+        ("ksat(fig8, fig8, 0, -" + "9" * 4400 + ")", 19),
+        ("ksat(fig8, fig8, " + "9" * 2500 + ", " + "9" * 2500 + ")", 16),
+        ("wh0(atom(A, genus=1" + "0" * INT_DIGITS_MAX + ", cable=no))", 18),
+    ], ids=["atom-genus", "ksat-m", "ksat-negative-n", "ksat-both", "one-digit-over"])
+    def test_over_long_literal_is_positioned_rejection(self, text, position):
+        proc = run_cli("invariants", text, "--json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error:")
+        assert f"at most {INT_DIGITS_MAX} digits" in lines[0]
+        assert lines[0].endswith(f"(at position {position})")
+
+    def test_longest_literals_answer(self, capsys):
+        # the extremes the digit bound on INT_DIGITS_MAX covers
+        big = "9" * INT_DIGITS_MAX
+        for text in (f"ksat(fig8, fig8, {big}, -{big})",
+                     f"wh0(atom(A, genus={big}, cable=no))",
+                     f"ksat(atom(J, genus={big}, torus=no, cable=no), "
+                     f"atom(L, genus={big}, torus=no, cable=no), 0, 0)"):
+            assert cli.main(["invariants", text, "--json"]) == 0, text
+            assert json.loads(capsys.readouterr().out)["expression"]
+        assert cli.main(["invariants", "atom(A, genus=" + "0" * 5000 + "7)"]) == 0
+        assert capsys.readouterr().out.startswith("expression   atom(A, genus=7,")
 
 
 FAMILY_TABLE_3 = """\

@@ -4,11 +4,11 @@ from itertools import product
 import pytest
 
 from knotfog.classical import IntInterval, genus_of
-from knotfog.firstorder import (BasisWitness, CapInsufficientError,
-                                WeakGropeCertificate, check_certificate,
-                                first_order_genus, min_basis_bound)
+from knotfog.firstorder import (BasisWitness, WeakGropeCertificate,
+                                check_certificate, first_order_genus,
+                                min_basis_bound)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
-                              Unknot, Wh0, parse, random_expr)
+                              Unknot, Wh0, parse, random_expr, validate)
 
 
 class TestCertificate:
@@ -52,6 +52,7 @@ class TestCheckCertificate:
 
 
 def brute_force_min(g_alpha, g_beta, radius):
+    """Least (value, |p|, |q|, |r|, |s|, p, q, r, s) over unimodular tuples in the box."""
     best = None
     for p, q, r in product(range(-radius, radius + 1), repeat=3):
         if p == 0:
@@ -66,8 +67,9 @@ def brute_force_min(g_alpha, g_beta, radius):
         for cp, cq, cr, cs in candidates:
             v = (max(1, abs(cp) * g_alpha, abs(cq) * g_beta)
                  + max(1, abs(cr) * g_alpha, abs(cs) * g_beta))
-            if best is None or v < best:
-                best = v
+            key = (v, abs(cp), abs(cq), abs(cr), abs(cs), cp, cq, cr, cs)
+            if best is None or key < best:
+                best = key
     return best
 
 
@@ -97,10 +99,23 @@ class TestMinBasisBound:
             assert achieved == value == w.value
 
     def test_agrees_with_independent_brute_force(self):
-        for g in range(1, 5):
-            for h in range(0, 4):
-                value, _ = min_basis_bound(g, h)
-                assert value == brute_force_min(g, h, radius=8)
+        # every pair whose value fits the box, witness included
+        radius = 8
+        pairs = [(g, h) for g in range(1, radius) for h in range(radius)
+                 if g + max(1, h) <= radius]
+        assert len(pairs) == 35
+        for g, h in pairs:
+            value, w = min_basis_bound(g, h)
+            best = brute_force_min(g, h, radius)
+            assert value == best[0]
+            assert (w.p, w.q, w.r, w.s) == best[5:]
+
+    def test_huge_genera_take_the_closed_form(self):
+        big = 10 ** 40
+        for g, h in [(big, big + 1), (big, 0), (1, big), (big, 1)]:
+            value, w = min_basis_bound(g, h)
+            assert value == w.value == g + max(1, h)
+            assert (w.p, w.q, w.r, w.s) == (0, -1, 1, 0)
 
     def test_symmetric_under_companion_swap(self):
         for g in range(1, 5):
@@ -111,9 +126,9 @@ class TestMinBasisBound:
         with pytest.raises(ValueError):
             min_basis_bound(0, 2)
 
-    def test_cap_insufficient_signals_instead_of_guessing(self):
-        with pytest.raises(CapInsufficientError):
-            min_basis_bound(8, 12, cap=16)
+    def test_rejects_negative_second_companion(self):
+        with pytest.raises(ValueError):
+            min_basis_bound(2, -1)
 
     def test_deterministic(self):
         assert min_basis_bound(2, 3) == min_basis_bound(2, 3)
@@ -190,6 +205,25 @@ class TestProvenance:
         rules = {r.bound: r.rule for r in fog.provenance}
         assert rules["lo"] == "first-order/double-enumerator"
         assert rules["hi"] == "first-order/double-certificate"
+
+    def test_enumerator_fires_exactly_when_validate_adds_no_warning(self):
+        # validate restates the Wh0/Ksat guards; the two must agree
+        rng = random.Random(8128)
+        checked = fired = 0
+        while checked < 1500:
+            e = random_expr(rng, 4)
+            if isinstance(e, Wh0):
+                children = (e.companion,)
+            elif isinstance(e, Ksat):
+                children = (e.j, e.l)
+            else:
+                continue
+            own = len(validate(e)) - sum(len(validate(c)) for c in children)
+            lo_rule = first_order_genus(e).provenance[0].rule
+            assert lo_rule.endswith("-enumerator") == (own == 0), e
+            checked += 1
+            fired += own == 0
+        assert fired > 100
 
     def test_json_shape(self):
         data = first_order_genus(Trefoil()).to_json()
