@@ -14,10 +14,11 @@ g >= |w|*g(C) + g(P).
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 from . import seifert
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
-                       Unknot, Wh0, builtin_flags, render)
+                       Unknot, Wh0, builtin_flags, fold, render)
 from .laurent import ONE, LaurentPoly
 
 
@@ -99,126 +100,135 @@ def schubert_bound(winding: int, g_companion: int, g_pattern: int) -> int:
     return abs(winding) * g_companion + g_pattern
 
 
-def satellite_of_first(e: Ksat) -> TriState:
-    """Whether the construction is a satellite with the first companion.
+def _satellite(framing: int, other_trivial: TriState) -> TriState:
+    """Whether a ksat is a satellite of one companion: yes if the framing
+    next to the other knot is nonzero or that knot is nontrivial, no if a
+    zero framing meets a trivial knot (the unknot results), else unknown."""
+    if framing != 0 or other_trivial is TriState.NO:
+        return TriState.YES
+    return TriState.NO if other_trivial is TriState.YES else TriState.UNKNOWN
 
-    Decision rule: yes if the clasp-side framing n is nonzero, or if it is
-    zero and the second knot is known nontrivial; no if n is zero and the
-    second knot is known trivial (the construction is then the unknot);
-    unknown otherwise.
-    """
+
+def satellite_of_first(e: Ksat) -> TriState:
+    """Whether the construction is a satellite with the first companion."""
     if not isinstance(e, Ksat):
         raise TypeError(f"expected a Ksat node, got {type(e).__name__}")
-    if e.n != 0:
-        return TriState.YES
-    t = trivial_of(e.l)
-    if t is TriState.NO:
-        return TriState.YES
-    if t is TriState.YES:
-        return TriState.NO
-    return TriState.UNKNOWN
+    return _satellite(e.n, trivial_of(e.l))
+
+
+class NodeFacts(NamedTuple):
+    """One node's classical facts.  `failed` pairs the warning of each
+    closed-form guard failing at the node with the subtree it names;
+    `warned` holds the child records under which a guard fails."""
+
+    genus: IntInterval
+    trivial: TriState
+    slice: TriState
+    in_R: TriState
+    failed: tuple[tuple[str, KnotExpr], ...]
+    warned: tuple["NodeFacts", ...]
+
+
+def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
+    """The fold step of the facts engine: e's facts from its children's.
+    Every closed-form guard is evaluated here and only here; the
+    first-order bounds and `knotlang.validate` both read `failed`."""
+    torus, cable, slice_ = builtin_flags(e)  # all unknown on composite nodes
+    failed: list[tuple[str, KnotExpr]] = []
+    if isinstance(e, Unknot):
+        genus, slice_ = IntInterval.point(0), TriState.YES
+    elif isinstance(e, (Trefoil, Fig8)):
+        genus = IntInterval.point(1)
+    elif isinstance(e, Kfam):
+        genus = IntInterval.point(e.n)
+    elif isinstance(e, Atom):
+        genus = IntInterval.point(e.genus)
+    elif isinstance(e, Sum):
+        left, right = kids
+        genus = left.genus + right.genus
+        both = left.slice is TriState.YES and right.slice is TriState.YES
+        slice_ = TriState.YES if both else TriState.UNKNOWN
+    elif isinstance(e, Wh0):
+        (companion,) = kids
+        genus = (IntInterval.point(0) if companion.trivial is TriState.YES else
+                 IntInterval.point(1) if companion.trivial is TriState.NO else IntInterval(0, 1))
+        slice_ = TriState.YES if companion.slice is TriState.YES else TriState.UNKNOWN
+        if companion.trivial is not TriState.NO:
+            failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
+        if builtin_flags(e.companion)[1] is not TriState.NO:
+            failed.append(("whitehead closed form requires a noncable companion: ", e.companion))
+    elif isinstance(e, Ksat):
+        j, l = kids
+        of_j, of_l = _satellite(e.n, l.trivial), _satellite(e.m, j.trivial)
+        # A zero framing next to a trivial knot collapses the construction;
+        # a satellite of a nontrivial companion has genus exactly one.
+        if of_j is TriState.NO or of_l is TriState.NO:
+            genus = IntInterval.point(0)
+        elif (of_j is TriState.YES and j.trivial is TriState.NO) \
+                or (of_l is TriState.YES and l.trivial is TriState.NO):
+            genus = IntInterval.point(1)
+        else:
+            genus = IntInterval(0, 1)
+        for side, sub, facts in (("first", e.j, j), ("second", e.l, l)):
+            if facts.in_R is not TriState.YES:
+                failed.append((f"satellite closed forms require the {side} companion in class R: ", sub))
+    else:
+        raise TypeError(f"not a KnotExpr: {e!r}")
+    trivial = (TriState.YES if genus.hi == 0 else
+               TriState.NO if genus.lo >= 1 else TriState.UNKNOWN)
+    flags = (trivial, torus, cable)
+    in_r = (TriState.NO if TriState.YES in flags else
+            TriState.YES if flags == (TriState.NO,) * 3 else TriState.UNKNOWN)
+    warned = tuple([k for k in kids if k.failed or k.warned])
+    return NodeFacts(genus, trivial, slice_, in_r, tuple(failed), warned)
 
 
 def genus_of(e: KnotExpr) -> IntInterval:
     """Genus interval; a point wherever a closed form applies."""
-    if isinstance(e, Unknot):
-        return IntInterval.point(0)
-    if isinstance(e, (Trefoil, Fig8)):
-        return IntInterval.point(1)
-    if isinstance(e, Kfam):
-        return IntInterval.point(e.n)
-    if isinstance(e, Atom):
-        return IntInterval.point(e.genus)
-    if isinstance(e, Sum):
-        return genus_of(e.left) + genus_of(e.right)
-    if isinstance(e, Wh0):
-        t = trivial_of(e.companion)
-        if t is TriState.YES:
-            return IntInterval.point(0)
-        if t is TriState.NO:
-            return IntInterval.point(1)
-        return IntInterval(0, 1)
-    if isinstance(e, Ksat):
-        tj, tl = trivial_of(e.j), trivial_of(e.l)
-        # Exact unknot detection comes first: with a zero framing next to a
-        # trivial knot the whole construction collapses.
-        if (e.n == 0 and tl is TriState.YES) or (e.m == 0 and tj is TriState.YES):
-            return IntInterval.point(0)
-        # A certified satellite of either companion has genus exactly one
-        # (the standard surface caps it at one).
-        if tj is TriState.NO and (e.n != 0 or tl is TriState.NO):
-            return IntInterval.point(1)
-        if tl is TriState.NO and (e.m != 0 or tj is TriState.NO):
-            return IntInterval.point(1)
-        return IntInterval(0, 1)
-    raise TypeError(f"not a KnotExpr: {e!r}")
+    return fold(e, node_facts).genus
 
 
 def trivial_of(e: KnotExpr) -> TriState:
     """Trivial iff genus zero."""
-    g = genus_of(e)
-    if g.hi == 0:
-        return TriState.YES
-    if g.lo >= 1:
-        return TriState.NO
-    return TriState.UNKNOWN
-
-
-def alexander_of(e: KnotExpr) -> LaurentPoly | None:
-    """Canonical Alexander polynomial, or None when no rule applies."""
-    if isinstance(e, Unknot):
-        return ONE
-    if isinstance(e, Trefoil):
-        return seifert.alexander_polynomial(TREFOIL_MATRIX).canonical()
-    if isinstance(e, Fig8):
-        return seifert.alexander_polynomial(FIG8_MATRIX).canonical()
-    if isinstance(e, Kfam):
-        return (PRETZEL_BASE ** e.n).canonical()
-    if isinstance(e, Wh0):
-        return ONE
-    if isinstance(e, Ksat):
-        model = seifert.SeifertMatrix(((e.m, 1), (0, e.n)))
-        return seifert.alexander_polynomial(model).canonical()
-    if isinstance(e, Sum):
-        a = alexander_of(e.left)
-        b = alexander_of(e.right)
-        if a is None or b is None:
-            return None
-        return (a * b).canonical()
-    if isinstance(e, Atom):
-        return None
-    raise TypeError(f"not a KnotExpr: {e!r}")
+    return fold(e, node_facts).trivial
 
 
 def slice_of(e: KnotExpr) -> TriState:
     """Smooth sliceness tri-state."""
-    if isinstance(e, Unknot):
-        return TriState.YES
-    if isinstance(e, Kfam):
-        return TriState.YES  # ribbon, hence slice
-    if isinstance(e, (Trefoil, Fig8, Atom)):
-        return builtin_flags(e)[2]
-    if isinstance(e, Wh0):
-        return TriState.YES if slice_of(e.companion) is TriState.YES else TriState.UNKNOWN
-    if isinstance(e, Sum):
-        left, right = slice_of(e.left), slice_of(e.right)
-        if left is TriState.YES and right is TriState.YES:
-            return TriState.YES
-        return TriState.UNKNOWN
-    if isinstance(e, Ksat):
-        return TriState.UNKNOWN
-    raise TypeError(f"not a KnotExpr: {e!r}")
+    return fold(e, node_facts).slice
 
 
 def class_r_of(e: KnotExpr) -> TriState:
     """Membership in class R: nontrivial, not a torus knot, not a cable knot."""
-    trivial = trivial_of(e)
-    torus, cable, _ = builtin_flags(e)
-    if trivial is TriState.YES or torus is TriState.YES or cable is TriState.YES:
-        return TriState.NO
-    if trivial is TriState.NO and torus is TriState.NO and cable is TriState.NO:
-        return TriState.YES
-    return TriState.UNKNOWN
+    return fold(e, node_facts).in_R
+
+
+def alexander_of(e: KnotExpr) -> LaurentPoly | None:
+    """Canonical Alexander polynomial, or None when no rule applies.
+    Polynomials multiply along the `#` spine only: a double's or a ksat's
+    polynomial comes from its own node, never from its companions."""
+    product = ONE
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += node.right, node.left
+        elif isinstance(node, (Unknot, Wh0)):
+            continue  # trivial polynomial
+        elif isinstance(node, Trefoil):
+            product *= seifert.alexander_polynomial(TREFOIL_MATRIX)
+        elif isinstance(node, Fig8):
+            product *= seifert.alexander_polynomial(FIG8_MATRIX)
+        elif isinstance(node, Kfam):
+            product *= PRETZEL_BASE ** node.n
+        elif isinstance(node, Ksat):
+            product *= seifert.alexander_polynomial(seifert.SeifertMatrix(((node.m, 1), (0, node.n))))
+        elif isinstance(node, Atom):
+            return None
+        else:
+            raise TypeError(f"not a KnotExpr: {node!r}")
+        product = product.canonical()
+    return product
 
 
 # -- provenance ----------------------------------------------------------------
@@ -260,9 +270,8 @@ _SLICE_RULES = {
 }
 
 
-def _genus_rule(e: KnotExpr) -> Provenance:
+def _genus_rule(e: KnotExpr, g: IntInterval) -> Provenance:
     if isinstance(e, Ksat):
-        g = genus_of(e)
         if g == IntInterval.point(0):
             rule, anchor = ("genus/satellite-unknot",
                             "a zero framing next to a trivial companion collapses the construction to the unknot")
@@ -279,13 +288,10 @@ def _genus_rule(e: KnotExpr) -> Provenance:
 
 def facts_of(e: KnotExpr) -> KnotFacts:
     """All classical invariants with one provenance record per fact."""
-    genus = genus_of(e)
+    facts = fold(e, node_facts)
     alexander = alexander_of(e)
-    slice_ = slice_of(e)
-    in_r = class_r_of(e)
-    trivial = trivial_of(e)
     provenance = (
-        _genus_rule(e),
+        _genus_rule(e, facts.genus),
         Provenance("alexander", *_ALEXANDER_RULES[type(e)]),
         Provenance("slice", *_SLICE_RULES[type(e)]),
         Provenance("in_R", "class-r/definition",
@@ -295,4 +301,4 @@ def facts_of(e: KnotExpr) -> KnotFacts:
     if alexander is not None:
         assert abs(alexander.evaluate(1)) == 1, \
             f"Alexander polynomial of {render(e)} fails the determinant-one check"
-    return KnotFacts(genus, alexander, slice_, in_r, trivial, provenance)
+    return KnotFacts(facts.genus, alexander, facts.slice, facts.in_R, facts.trivial, provenance)

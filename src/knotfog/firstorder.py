@@ -29,9 +29,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from .classical import IntInterval, genus_of, class_r_of, trivial_of
-from .knotlang import (Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Unknot, Wh0,
-                       builtin_flags)
+from .classical import IntInterval, NodeFacts, node_facts
+from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, children, fold
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,12 +74,12 @@ def check_certificate(cert: WeakGropeCertificate, e: KnotExpr) -> CertificateChe
     basis curve would compress the surface below minimal genus.
     """
     reasons: list[str] = []
-    g = genus_of(e)
-    if not g.is_point():
+    facts = fold(e, node_facts)
+    if not facts.genus.is_point():
         reasons.append("genus of expression not exactly known")
-    elif cert.first_stage_genus != g.lo:
+    elif cert.first_stage_genus != facts.genus.lo:
         reasons.append("first stage not minimal genus")
-    if trivial_of(e) is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
+    if facts.trivial is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
         reasons.append("zero second stage on nontrivial knot")
     return CertificateCheck(not reasons, tuple(reasons))
 
@@ -190,23 +189,28 @@ _SUM_HI = ("first-order/subadditive",
            "the first-order genus is subadditive under connected sum")
 
 
-def _double_guard(companion: KnotExpr) -> bool:
-    return (trivial_of(companion) is TriState.NO
-            and builtin_flags(companion)[1] is TriState.NO
-            and genus_of(companion).is_point())
-
-
 def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     """Certified interval for the first-order genus, with provenance.
 
     Guards that are not established simply disable the corresponding
     rule; `knotlang.validate` surfaces those as warnings.
     """
-    genus = genus_of(e)
+    return _bounds(e, *fold(e, _step))
+
+
+def _step(e: KnotExpr, kids: list) -> tuple:
+    """The fold step: e's facts, its children's facts, and, at a sum, the
+    summands' bounds; so bounds are built only on the `#` spine."""
+    kid_facts = [k[0] for k in kids]
+    summands = [_bounds(sub, *k) for sub, k in zip(children(e), kids)] if isinstance(e, Sum) else None
+    return node_facts(e, kid_facts), kid_facts, summands
+
+
+def _bounds(e: KnotExpr, facts: NodeFacts, kid_facts: list, summands: list | None) -> FirstOrderResult:
     lows: list[BoundRecord] = []
     highs: list[BoundRecord] = []
 
-    if trivial_of(e) is TriState.YES:
+    if facts.trivial is TriState.YES:
         lows.append(BoundRecord("lo", 0, *_UNKNOT))
         highs.append(BoundRecord("hi", 0, *_UNKNOT))
 
@@ -215,33 +219,32 @@ def first_order_genus(e: KnotExpr) -> FirstOrderResult:
         assert check_certificate(cert, e)
         highs.append(BoundRecord("hi", cert.value, *_LEAF_CERT))
 
-    if isinstance(e, Wh0) and _double_guard(e.companion):
-        g_j = genus_of(e.companion).lo
+    # A guard passes only on companions that are leaves flagged noncable
+    # (fig8, kfam, atom), so their genus is exact and .lo is that genus.
+    if isinstance(e, Wh0) and not facts.failed:
+        g_j = kid_facts[0].genus.lo
         value, _ = min_basis_bound(g_j, 0)
         lows.append(BoundRecord("lo", value, *_DOUBLE_LO))
         cert = WeakGropeCertificate(1, (g_j, 1))
         assert check_certificate(cert, e)
         highs.append(BoundRecord("hi", cert.value, *_DOUBLE_HI))
 
-    if isinstance(e, Ksat) and class_r_of(e.j) is TriState.YES \
-            and class_r_of(e.l) is TriState.YES:
-        gj, gl = genus_of(e.j), genus_of(e.l)
-        if gj.is_point() and gl.is_point():
-            value, _ = min_basis_bound(gj.lo, gl.lo)
-            lows.append(BoundRecord("lo", value, *_SAT_LO))
-            if e.m == 0 and e.n == 0:
-                cert = WeakGropeCertificate(1, (gj.lo, gl.lo))
-                assert check_certificate(cert, e)
-                highs.append(BoundRecord("hi", cert.value, *_SAT_HI))
+    if isinstance(e, Ksat) and not facts.failed:
+        gj, gl = kid_facts[0].genus.lo, kid_facts[1].genus.lo
+        value, _ = min_basis_bound(gj, gl)
+        lows.append(BoundRecord("lo", value, *_SAT_LO))
+        if e.m == 0 and e.n == 0:
+            cert = WeakGropeCertificate(1, (gj, gl))
+            assert check_certificate(cert, e)
+            highs.append(BoundRecord("hi", cert.value, *_SAT_HI))
 
     if isinstance(e, Sum):
-        left = first_order_genus(e.left)
-        right = first_order_genus(e.right)
+        left, right = summands
         if left.hi is not None and right.hi is not None:
             highs.append(BoundRecord("hi", left.hi + right.hi, *_SUM_HI))
 
     # The no-disc bound applies to every expression.
-    lows.append(BoundRecord("lo", 2 * genus.lo, *_TWICE))
+    lows.append(BoundRecord("lo", 2 * facts.genus.lo, *_TWICE))
 
     lo = max(rec.value for rec in lows)
     lo_record = next(rec for rec in lows if rec.value == lo)

@@ -338,32 +338,73 @@ def parse(text: str) -> KnotExpr:
     return node
 
 
-# -- serializer --------------------------------------------------------------
+# -- traversal and serializer ------------------------------------------------
+
+
+def children(e: KnotExpr) -> tuple[KnotExpr, ...]:
+    """The direct subtrees of a node, in text order; () for a leaf."""
+    if isinstance(e, Sum):
+        return e.left, e.right
+    if isinstance(e, Wh0):
+        return (e.companion,)
+    if isinstance(e, Ksat):
+        return e.j, e.l
+    return ()
+
+
+def fold(e: KnotExpr, step):
+    """step(node, child values in text order) once per node, children
+    first; returns the root's value.  An explicit stack replaces
+    recursion, so no depth reaches the interpreter's recursion limit."""
+    values: list = []
+    stack: list = [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend((kid, None) for kid in reversed(kids))
+                continue
+        split = len(values) - len(kids)
+        values[split:] = [step(node, values[split:])]
+    return values[0]
 
 
 def render(e: KnotExpr) -> str:
     """Canonical text with defaults printed explicitly; parse(render(e)) == e."""
+    out: list[str] = []
+    stack = list(reversed(_pieces(e)))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(item)))
+    return "".join(out)
+
+
+def _pieces(e: KnotExpr) -> tuple[KnotExpr | str, ...]:
+    """A node's text as literal strings and the child nodes between them."""
     if isinstance(e, Sum):
-        left = render(e.left)
-        right = render(e.right)
         if isinstance(e.right, Sum):
-            right = f"({right})"
-        return f"{left} # {right}"
+            return e.left, " # (", e.right, ")"
+        return e.left, " # ", e.right
     if isinstance(e, Unknot):
-        return "unknot"
+        return ("unknot",)
     if isinstance(e, Trefoil):
-        return "trefoil"
+        return ("trefoil",)
     if isinstance(e, Fig8):
-        return "fig8"
+        return ("fig8",)
     if isinstance(e, Kfam):
-        return f"kfam({e.n})"
+        return (f"kfam({e.n})",)
     if isinstance(e, Wh0):
-        return f"wh0({render(e.companion)}, clasp={e.clasp})"
+        return "wh0(", e.companion, f", clasp={e.clasp})"
     if isinstance(e, Ksat):
-        return f"ksat({render(e.j)}, {render(e.l)}, {e.m}, {e.n})"
+        return "ksat(", e.j, ", ", e.l, f", {e.m}, {e.n})"
     if isinstance(e, Atom):
         return (f"atom({e.name}, genus={e.genus}, torus={e.torus}, "
-                f"cable={e.cable}, slice={e.slice})")
+                f"cable={e.cable}, slice={e.slice})",)
     raise TypeError(f"not a KnotExpr: {e!r}")
 
 
@@ -394,37 +435,18 @@ def builtin_flags(e: KnotExpr) -> tuple[TriState, TriState, TriState]:
 def validate(e: KnotExpr) -> list[str]:
     """Warnings for every closed-form guard that is not established.
 
-    The Whitehead-double closed form needs a companion known to be
-    nontrivial and noncable; the doubly-companioned closed forms need
-    both companions known to lie in class R (nontrivial, not torus, not
-    cable).  Warnings never abort evaluation; they mark bounds the
-    engine will leave open.
+    The guards are `classical.node_facts`'s, which the first-order bounds
+    read too.  Warnings come in pre-order, and never abort evaluation;
+    they mark bounds the engine will leave open.
     """
     from . import classical  # facts engine sits above the language layer
 
     warnings: list[str] = []
-
-    def visit(node: KnotExpr) -> None:
-        if isinstance(node, Wh0):
-            if classical.trivial_of(node.companion) is not TriState.NO:
-                warnings.append(
-                    f"whitehead closed form requires a companion known nontrivial: {render(node.companion)}")
-            if builtin_flags(node.companion)[1] is not TriState.NO:
-                warnings.append(
-                    f"whitehead closed form requires a noncable companion: {render(node.companion)}")
-            visit(node.companion)
-        elif isinstance(node, Ksat):
-            for side, sub in (("first", node.j), ("second", node.l)):
-                if classical.class_r_of(sub) is not TriState.YES:
-                    warnings.append(
-                        f"satellite closed forms require the {side} companion in class R: {render(sub)}")
-            visit(node.j)
-            visit(node.l)
-        elif isinstance(node, Sum):
-            visit(node.left)
-            visit(node.right)
-
-    visit(e)
+    stack = [fold(e, classical.node_facts)]
+    while stack:
+        facts = stack.pop()
+        warnings.extend(message + render(sub) for message, sub in facts.failed)
+        stack.extend(reversed(facts.warned))
     return warnings
 
 

@@ -67,9 +67,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.min_degree == 0 and self.coeffs == (1,)
 
-    def is_unit(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] in (1, -1)
-
     @property
     def degree(self) -> int:
         """Top exponent; raises on the zero polynomial."""

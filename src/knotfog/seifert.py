@@ -60,9 +60,6 @@ class SeifertMatrix:
         """
         return self.size // 2
 
-    def transpose(self) -> "SeifertMatrix":
-        return SeifertMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 

@@ -76,6 +76,24 @@ class TestSatelliteDecision:
         with pytest.raises(TypeError):
             satellite_of_first(Trefoil())
 
+    def test_genus_rule_reads_the_same_decision(self):
+        # the construction is the unknot exactly when it is no satellite of
+        # one companion; it has genus one when it is a satellite of a
+        # nontrivial one
+        rng = random.Random(5151)
+        seen = set()
+        for _ in range(600):
+            j, l = random_expr(rng, 3), random_expr(rng, 3)
+            e = Ksat(j, l, rng.randint(-1, 1), rng.randint(-1, 1))
+            of_j, of_l = satellite_of_first(e), satellite_of_first(Ksat(l, j, e.n, e.m))
+            g = genus_of(e)
+            assert (g == IntInterval.point(0)) == (NO in (of_j, of_l)), e
+            if NO not in (of_j, of_l) and ((of_j is YES and trivial_of(j) is NO)
+                                           or (of_l is YES and trivial_of(l) is NO)):
+                assert g == IntInterval.point(1), e
+            seen.add(str(g))
+        assert seen == {"[0, 0]", "[1, 1]", "[0, 1]"}
+
 
 class TestGenus:
     def test_leaves(self):

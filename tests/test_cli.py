@@ -86,6 +86,14 @@ class TestInvariants:
         assert time.perf_counter() - start < 5.0
         assert report.facts.alexander.degree == 4000
 
+    def test_companion_polynomial_is_never_computed(self):
+        # a double's polynomial is 1 whatever its companion's; the product
+        # inside the companion would take minutes if anything computed it
+        start = time.perf_counter()
+        report = cli.build_report("wh0(kfam(3000) # kfam(3000))")
+        assert time.perf_counter() - start < 5.0
+        assert str(report.facts.alexander) == "1"
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
@@ -94,6 +102,20 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", "knotfog.cli", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestLongChain:
+    def test_3000_term_chain_answers(self):
+        # past the interpreter's recursion limit: no engine may recurse
+        terms = ("wh0(fig8, clasp=-)", "wh0(kfam(1))")
+        text = " # ".join(terms[i % 2] for i in range(3000))
+        proc = run_cli("invariants", text, "--json")
+        assert proc.returncode == 0, proc.stderr[-500:]
+        data = json.loads(proc.stdout)
+        assert data["facts"]["genus"] == {"lo": 3000, "hi": 3000}
+        assert data["facts"]["alexander"] == {"min_degree": 0, "coeffs": [1]}
+        assert (data["first_order_genus"]["lo"], data["first_order_genus"]["hi"]) == (6000, 6000)
+        assert data["warnings"] == []
 
 
 class TestKfamLimit:

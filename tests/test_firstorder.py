@@ -207,7 +207,8 @@ class TestProvenance:
         assert rules["hi"] == "first-order/double-certificate"
 
     def test_enumerator_fires_exactly_when_validate_adds_no_warning(self):
-        # validate restates the Wh0/Ksat guards; the two must agree
+        # the bounds and validate both read the guards of classical.node_facts;
+        # the enumerator rule must fire exactly where no guard fails
         rng = random.Random(8128)
         checked = fired = 0
         while checked < 1500:

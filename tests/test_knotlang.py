@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
+from knotfog import classical, firstorder
 from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, Ksat, ParseError, Sum,
-                              Trefoil, TriState, Unknot, Wh0, builtin_flags, parse,
-                              random_expr, render, validate)
+                              Trefoil, TriState, Unknot, Wh0, builtin_flags, children,
+                              fold, parse, random_expr, render, validate)
 
 
 class TestParse:
@@ -85,6 +87,73 @@ class TestParseErrors:
             parse("trefoil # # fig8")
         assert isinstance(exc.value.position, int)
         assert "position" in str(exc.value)
+
+
+def chain(n: int):
+    """Left-nested n-term chain of leaves: 2n - 1 nodes.  The first term is
+    an atom, so the Alexander polynomial is unknown without a product."""
+    terms = (Atom("A", 2, torus=TriState.NO, cable=TriState.NO), Trefoil(), Fig8())
+    e = terms[0]
+    for i in range(1, n):
+        e = Sum(e, terms[i % 3])
+    return e
+
+
+def count_calls(code, call) -> int:
+    """How many times the function with this code object runs during call()."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestFold:
+    def test_children_in_text_order(self):
+        assert children(Sum(Trefoil(), Fig8())) == (Trefoil(), Fig8())
+        assert children(Wh0(Kfam(2))) == (Kfam(2),)
+        assert children(Ksat(Fig8(), Unknot(), 1, 0)) == (Fig8(), Unknot())
+        assert children(Atom("A", 1)) == ()
+
+    def test_post_order_with_child_values_in_text_order(self):
+        e = parse("ksat(wh0(fig8), trefoil # unknot, 0, 1) # kfam(2)")
+        visited = []
+
+        def step(node, kids):
+            visited.append(type(node).__name__)
+            return f"{type(node).__name__}({', '.join(kids)})"
+
+        assert fold(e, step) == "Sum(Ksat(Wh0(Fig8()), Sum(Trefoil(), Unknot())), Kfam())"
+        assert visited == ["Fig8", "Wh0", "Trefoil", "Unknot", "Sum", "Ksat", "Kfam", "Sum"]
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        depth = 3 * sys.getrecursionlimit()
+        nested, right = Fig8(), Fig8()
+        for _ in range(depth):
+            nested, right = Wh0(nested), Sum(Atom("A", 1), right)
+        assert fold(nested, lambda node, kids: 1 + sum(kids)) == depth + 1
+        assert render(nested).count("wh0(") == depth
+        assert classical.facts_of(nested).genus == classical.IntInterval.point(1)
+        assert firstorder.first_order_genus(nested).lo == 2
+        assert render(right).count("# (") == depth - 1  # right-nested sums are parenthesised
+        assert validate(right) == []
+        assert classical.facts_of(right).genus == classical.IntInterval.point(depth + 1)
+
+    def test_engines_run_one_step_per_node(self):
+        # an n-term chain has 2n - 1 nodes; each engine visits each once
+        n = 2000
+        e = chain(n)
+        assert count_calls(classical.node_facts.__code__, lambda: classical.facts_of(e)) == 2 * n - 1
+        assert count_calls(firstorder._step.__code__, lambda: firstorder.first_order_genus(e)) == 2 * n - 1
+        assert count_calls(classical.node_facts.__code__, lambda: validate(e)) == 2 * n - 1
 
 
 class TestRender:
