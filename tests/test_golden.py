@@ -10,10 +10,11 @@ already checked by the rest of the suite; it is the gate for refactors
 of the engines, so it is not regenerated after changing them.
 """
 
+import contextlib
 import gzip
+import io
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -68,10 +69,11 @@ def expressions() -> list[str]:
     return seeded + list(HAND_PICKED)
 
 
-def run(argv: list[str], capsys) -> dict:
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    return {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def load() -> list[dict]:
@@ -81,8 +83,8 @@ def load() -> list[dict]:
 # Absent only while the corpus is being written; the test below then fails.
 @pytest.mark.parametrize("case", load() if CORPUS.exists() else [],
                          ids=lambda case: " ".join(case["argv"][1:])[:60])
-def test_cli_output_matches_corpus(case, capsys):
-    assert run(case["argv"], capsys) == case
+def test_cli_output_matches_corpus(case):
+    assert run(case["argv"]) == case
 
 
 def test_corpus_covers_every_case():
@@ -94,22 +96,8 @@ def test_corpus_covers_every_case():
 
 
 if __name__ == "__main__":
-    class _Capture:
-        """capsys stand-in for writing the corpus outside pytest."""
-
-        def readouterr(self):
-            out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-            sys.stdout.seek(0), sys.stdout.truncate(), sys.stderr.seek(0), sys.stderr.truncate()
-            return out, err
-
-    import io
-    real = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        argvs = [["invariants", text] + flag for text in expressions() for flag in ([], ["--json"])]
-        argvs += [["invariants", text] for text in PARSE_ERRORS]
-        cases = [run(argv, _Capture()) for argv in argvs]
-    finally:
-        sys.stdout, sys.stderr = real
+    argvs = [["invariants", text] + flag for text in expressions() for flag in ([], ["--json"])]
+    argvs += [["invariants", text] for text in PARSE_ERRORS]
+    cases = [run(argv) for argv in argvs]
     CORPUS.write_bytes(gzip.compress((json.dumps(cases, indent=1) + "\n").encode(), mtime=0))
     print(f"{len(cases)} cases, {CORPUS.stat().st_size} bytes")
