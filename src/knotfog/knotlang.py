@@ -17,7 +17,8 @@ Grammar (whitespace insignificant, `#` binds loosest and associates left):
 `kfam(n)` requires 1 <= n <= KFAM_MAX, and every other INT has at most
 INT_DIGITS_MAX digits (sign and leading zeros not counted); a literal
 outside these limits, however many digits it has, is a positioned
-ParseError.
+ParseError.  So is an opener "(", "wh0(" or "ksat(" nested inside
+DEPTH_MAX others.
 
 The named flags of `atom` may appear in any order, each at most once;
 `render` always prints them in the order torus, cable, slice and prints
@@ -43,6 +44,13 @@ KFAM_MAX = 4096
 # enters the first-order genus as g + max(1, h) or 2g, at most 1001
 # digits.  Both render below CPython's 4300-digit int-to-str limit.
 INT_DIGITS_MAX = 1000
+
+# Most openers "(", "wh0(" and "ksat(" open at once.  The parser recurses
+# through parse_expr, parse_term and _parse_wh0/_parse_ksat, 3 frames per
+# level, so 200 levels take about 600 frames; with the CLI's and pytest's
+# own stacks (under 100 frames) that stays below CPython's default
+# recursion limit of 1000.  Every engine walks the tree with `fold`.
+DEPTH_MAX = 200
 
 
 class TriState(str, enum.Enum):
@@ -165,6 +173,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, pos: int | None = None) -> "ParseError":
         return ParseError(message, self.pos if pos is None else pos)
@@ -239,14 +248,22 @@ class _Parser:
             node = Sum(node, self.parse_term())
         return node
 
+    def descend(self, start: int) -> None:
+        """Enter the opener at `start`; the caller leaves it with depth -= 1."""
+        self.depth += 1
+        if self.depth > DEPTH_MAX:
+            raise self.error(f"nesting is limited to {DEPTH_MAX} levels", start)
+
     def parse_term(self) -> KnotExpr:
         self.skip_ws()
+        start = self.pos
         if self.peek() == "(":
+            self.descend(start)
             self.pos += 1
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
-        start = self.pos
         head = self.name()
         if head == "unknot":
             return Unknot()
@@ -256,10 +273,11 @@ class _Parser:
             return Fig8()
         if head == "kfam":
             return self._parse_kfam(start)
-        if head == "wh0":
-            return self._parse_wh0()
-        if head == "ksat":
-            return self._parse_ksat()
+        if head in ("wh0", "ksat"):
+            self.descend(start)
+            node = self._parse_wh0() if head == "wh0" else self._parse_ksat()
+            self.depth -= 1
+            return node
         if head == "atom":
             return self._parse_atom(start)
         raise self.error(f"unknown knot constructor {head!r}", start)

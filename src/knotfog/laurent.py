@@ -252,8 +252,8 @@ def unit_equivalent(a: LaurentPoly, b: LaurentPoly) -> bool:
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient num/den in ZZ[t, 1/t]; raises if the division is not exact.
 
-    Fraction-free elimination divides by previous pivots, which are known
-    minors, so exactness is guaranteed there; this helper asserts it anyway.
+    No knotfog code calls it; perfbench/tracer.py resolves `laurent.exact_div`
+    by attribute for its span, so removing it would crash `--trace 1` runs.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")

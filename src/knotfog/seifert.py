@@ -5,7 +5,8 @@ linking numbers of pushed-off basis curves on a genus-g spanning
 surface.  This module provides:
 
 * the banded matrices of the ribbon pretzel family (``theta``),
-* the Alexander polynomial det(V - t*V^T), computed fraction-free,
+* the Alexander polynomial det(V - t*V^T), interpolated exactly from
+  integer determinants at t = 0, 1, ..., size (one routine, int_det),
 * the intersection form V - V^T and its comparison with the standard
   block form J = diag([[0,1],[-1,0]], ...),
 * congruence change of basis P*V*P^T with unimodularity checks, and
@@ -19,10 +20,11 @@ block diagonal.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import Sequence
 
-from .laurent import LaurentPoly, ONE, ZERO, exact_div
+from .laurent import LaurentPoly
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -96,11 +98,15 @@ class BasisChange:
         return [list(row) for row in self.entries]
 
 
-# -- integer and polynomial determinants --------------------------------
+# -- determinants -------------------------------------------------------
 
 
 def int_det(rows: Rows) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
+    """Determinant of an integer matrix by fraction-free elimination.
+
+    The module's one determinant routine: it checks unimodularity and
+    samples every Alexander polynomial (Bareiss, Math. Comp. 22, 1968).
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -114,70 +120,49 @@ def int_det(rows: Rows) -> int:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top, pivot_row = m[k][k], m[k]
+        for row in m[k + 1:]:
+            head = row[k]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                num = top * row[j] - head * pivot_row[j]
                 assert num % prev == 0, "Bareiss division must be exact"
-                m[i][j] = num // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                row[j] = num // prev
+            row[k] = 0
+        prev = top
     return sign * m[n - 1][n - 1]
 
 
-def _det_cofactor(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(m)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return m[0][0]
-    total = ZERO
-    for j in range(n):
-        top = m[0][j]
-        if top.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = top * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    # One-step fraction-free elimination over ZZ[t, 1/t] with row pivoting.
-    n = len(m)
-    if n == 0:
-        return ONE
-    m = [row[:] for row in m]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return ZERO
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
-    """det(V - t*V^T), exactly, over the integer Laurent ring.
+    """det(V - t*V^T), exactly; the size-0 matrix (disc) yields 1.
 
-    The size-0 matrix (disc) yields 1.  Cofactor expansion is used below
-    size 4; fraction-free elimination above.  The two routes are checked
-    against each other in the test suite.
+    For V of size n, f(x) = det(V - x*V^T) has degree at most n, so the
+    integer determinants f(0), ..., f(n) fix it, and Newton's forward
+    differences recover it:
+
+        f(x) = sum_k c_k * x(x-1)...(x-k+1),   c_k = (Delta^k f)(0) / k!.
+
+    Each division is exact: f = sum_m a_m x^m with integer a_m, Delta^k
+    is linear and (Delta^k x^m)(0) = k! * S(m, k), with S the Stirling
+    number of the second kind, so (Delta^k f)(0) = k! * sum_m a_m S(m, k).
+    A remainder can only be a bug, so it raises rather than rounding;
+    Horner's rule over the falling factorials keeps every step integral.
     """
     n = V.size
-    m = [[LaurentPoly.from_terms({0: V.entries[i][j], 1: -V.entries[j][i]})
-          for j in range(n)] for i in range(n)]
-    if n < 4:
-        return _det_cofactor(m)
-    return _det_bareiss(m)
+    rows = V.entries
+    diffs = [int_det(tuple(tuple(rows[i][j] - x * rows[j][i] for j in range(n))
+                           for i in range(n)))
+             for x in range(n + 1)]
+    for k in range(1, n + 1):  # diffs[k] becomes (Delta^k f)(0)
+        for i in range(n, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    poly: list[int] = []
+    for k in range(n, -1, -1):  # poly := poly * (x - k) + c_k
+        c, rem = divmod(diffs[k], math.factorial(k))
+        if rem:
+            raise ArithmeticError(f"inexact Newton step k={k} in det(V - t*V^T), V = {V}")
+        poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += c
+    return LaurentPoly(0, poly)
 
 
 # -- intersection forms and congruence -----------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import knotfog
 from knotfog import cli, selftest
-from knotfog.knotlang import INT_DIGITS_MAX, KFAM_MAX
+from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, KFAM_MAX
 from knotfog.seifert import SeifertMatrix, theta
 
 TREFOIL_REPORT = """\
@@ -161,6 +161,50 @@ class TestIntegerLimit:
             assert json.loads(capsys.readouterr().out)["expression"]
         assert cli.main(["invariants", "atom(A, genus=" + "0" * 5000 + "7)"]) == 0
         assert capsys.readouterr().out.startswith("expression   atom(A, genus=7,")
+
+
+def nest(opener: str, depth: int) -> str:
+    """`depth` nested openers of one kind around fig8."""
+    closer = {"(": ")", "wh0(": ")", "ksat(": ", trefoil, 0, 0)"}[opener]
+    return opener * depth + "fig8" + closer * depth
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("text, position", [
+        ("(" * 1200 + "trefoil" + ")" * 1200, DEPTH_MAX),
+        ("wh0(" * 400 + "fig8" + ")" * 400, 4 * DEPTH_MAX),
+    ], ids=["parens-1200", "wh0-400"])
+    def test_former_recursion_errors_are_positioned_rejections(self, text, position):
+        proc = run_cli("invariants", text)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"parse error: nesting is limited to {DEPTH_MAX} levels "
+                               f"(at position {position})\n")
+
+    @pytest.mark.parametrize("opener", ["(", "wh0(", "ksat("])
+    def test_depth_max_answers_in_process(self, opener, capsys):
+        assert cli.main(["invariants", nest(opener, DEPTH_MAX), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["expression"]
+
+    @pytest.mark.parametrize("opener", ["(", "wh0(", "ksat("])
+    def test_one_level_past_is_rejected_at_its_opener(self, opener, capsys):
+        text = "trefoil # " + nest(opener, DEPTH_MAX + 1)
+        assert cli.main(["invariants", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        position = len("trefoil # ") + len(opener) * DEPTH_MAX
+        assert captured.err == (f"parse error: nesting is limited to {DEPTH_MAX} levels "
+                                f"(at position {position})\n")
+
+    def test_closed_openers_do_not_count(self, capsys):
+        sibling = "(wh0(ksat(fig8, trefoil, 0, 0)))"
+        assert cli.main(["invariants", " # ".join([sibling] * DEPTH_MAX)]) == 0
+        assert capsys.readouterr().out.startswith("expression   ")
+
+    def test_openers_of_every_kind_count_together(self, capsys):
+        text = nest("(", 100).replace("fig8", nest("wh0(", 50).replace("fig8", nest("ksat(", 51)))
+        assert cli.main(["invariants", text]) == 2
+        assert capsys.readouterr().err.endswith(f"(at position {100 + 4 * 50 + 5 * 50})\n")
 
 
 FAMILY_TABLE_3 = """\

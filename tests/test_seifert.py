@@ -2,14 +2,38 @@ import random
 
 import pytest
 
-from knotfog.laurent import LaurentPoly, ONE, unit_equivalent
-from knotfog.seifert import (BasisChange, SeifertMatrix, _det_bareiss,
-                             _det_cofactor, alexander_polynomial, change_basis,
-                             int_det, intersection_form, random_symplectic,
-                             standard_form, theta)
+from knotfog import seifert
+from knotfog.laurent import LaurentPoly, ONE, ZERO, unit_equivalent
+from knotfog.seifert import (BasisChange, SeifertMatrix, alexander_polynomial,
+                             change_basis, int_det, intersection_form,
+                             random_symplectic, standard_form, theta)
 
 BASE = LaurentPoly(0, (-2, 5, -2))
 TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
+
+
+def det_cofactor(m: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Oracle: Laplace expansion along the first row, over ZZ[t, 1/t]."""
+    n = len(m)
+    if n == 0:
+        return ONE
+    if n == 1:
+        return m[0][0]
+    total = ZERO
+    for j in range(n):
+        top = m[0][j]
+        if top.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = top * det_cofactor(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def cofactor_alexander(V: SeifertMatrix) -> LaurentPoly:
+    n = V.size
+    return det_cofactor([[LaurentPoly.from_terms({0: V.entries[i][j], 1: -V.entries[j][i]})
+                          for j in range(n)] for i in range(n)])
 
 
 class TestTheta:
@@ -61,16 +85,39 @@ class TestAlexander:
             n = rng.choice((0, 2, 4, 6))
             V = SeifertMatrix([[rng.randint(-4, 4) for _ in range(n)]
                                for _ in range(n)])
-            m = [[LaurentPoly.from_terms({0: V.entries[i][j], 1: -V.entries[j][i]})
-                  for j in range(n)] for i in range(n)]
-            assert _det_bareiss([row[:] for row in m]) == _det_cofactor(m)
+            assert alexander_polynomial(V) == cofactor_alexander(V)
 
     def test_bareiss_agrees_with_cofactor_on_family(self):
         for n in (1, 2, 3):
-            V = theta(n)
-            m = [[LaurentPoly.from_terms({0: V.entries[i][j], 1: -V.entries[j][i]})
-                  for j in range(2 * n)] for i in range(2 * n)]
-            assert _det_bareiss([row[:] for row in m]) == _det_cofactor(m)
+            assert alexander_polynomial(theta(n)) == cofactor_alexander(theta(n))
+
+    def test_agrees_with_int_det_off_the_sample_points(self):
+        # The interpolation samples x = 0..n; these points are never sampled.
+        rng = random.Random(4242)
+        for _ in range(500):
+            n = rng.choice((0, 2, 4, 6, 8, 10))
+            huge = rng.random() < 0.2
+            V = SeifertMatrix([[rng.randint(-10 ** 30, 10 ** 30) if huge and rng.random() < 0.3
+                                else rng.randint(-9, 9) for _ in range(n)]
+                               for _ in range(n)])
+            poly = alexander_polynomial(V)
+            for x in (-3, -1, n + 1, n + 2):
+                rows = tuple(tuple(V.entries[i][j] - x * V.entries[j][i] for j in range(n))
+                             for i in range(n))
+                assert poly.evaluate(x) == int_det(rows)
+
+    def test_samples_of_no_polynomial_raise(self, monkeypatch):
+        # One sample off by one, at x = 1: the k-th difference at 0 moves by
+        # +-k, which k! does not divide for k >= 3.
+        calls = []
+
+        def skewed(rows):
+            calls.append(rows)
+            return int_det(rows) + (len(calls) == 2)
+
+        monkeypatch.setattr(seifert, "int_det", skewed)
+        with pytest.raises(ArithmeticError):
+            alexander_polynomial(theta(2))
 
 
 class TestSeifertMatrixType:
