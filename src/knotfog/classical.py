@@ -128,11 +128,21 @@ class NodeFacts(NamedTuple):
     failed: tuple[tuple[str, KnotExpr], ...]
     warned: tuple["NodeFacts", ...]
 
+    def warnings(self) -> list[str]:
+        """A warning per closed-form guard failing in the subtree, pre-order."""
+        warnings: list[str] = []
+        stack = [self]
+        while stack:
+            facts = stack.pop()
+            warnings.extend(message + render(sub) for message, sub in facts.failed)
+            stack.extend(reversed(facts.warned))
+        return warnings
+
 
 def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
-    """The fold step of the facts engine: e's facts from its children's.
-    Every closed-form guard is evaluated here and only here; the
-    first-order bounds and `knotlang.validate` both read `failed`."""
+    """The fold step of the facts engine, run once per node by
+    `firstorder.step`.  Every closed-form guard is evaluated here only;
+    the first-order bounds and `NodeFacts.warnings` read `failed`."""
     torus, cable, slice_ = builtin_flags(e)  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []
     if isinstance(e, Unknot):
@@ -288,7 +298,11 @@ def _genus_rule(e: KnotExpr, g: IntInterval) -> Provenance:
 
 def facts_of(e: KnotExpr) -> KnotFacts:
     """All classical invariants with one provenance record per fact."""
-    facts = fold(e, node_facts)
+    return knot_facts(e, fold(e, node_facts))
+
+
+def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:
+    """e's classical invariants from its folded facts, with provenance."""
     alexander = alexander_of(e)
     provenance = (
         _genus_rule(e, facts.genus),

@@ -19,12 +19,12 @@ import sys
 from . import classical, firstorder, selftest
 from .classical import KnotFacts
 from .firstorder import FirstOrderResult
-from .knotlang import Kfam, ParseError, Wh0, parse, render, validate
+from .knotlang import Kfam, ParseError, Wh0, fold, parse, render
 
 
 @dataclasses.dataclass(frozen=True)
 class Report:
-    """Exactly the evaluated engines' outputs; no recomputation here."""
+    """Three readers of one `fold(expr, firstorder.step)`; no recomputation."""
 
     expression: str
     facts: KnotFacts
@@ -42,11 +42,12 @@ class Report:
 
 def build_report(text: str) -> Report:
     expr = parse(text)
+    facts, fog = fold(expr, firstorder.step)
     return Report(
         expression=render(expr),
-        facts=classical.facts_of(expr),
-        fog=firstorder.first_order_genus(expr),
-        warnings=tuple(validate(expr)),
+        facts=classical.knot_facts(expr, facts),
+        fog=fog,
+        warnings=tuple(facts.warnings()),
     )
 
 

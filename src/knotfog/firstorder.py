@@ -30,7 +30,7 @@ import dataclasses
 import functools
 
 from .classical import IntInterval, NodeFacts, node_facts
-from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, children, fold
+from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, fold
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,8 +73,11 @@ def check_certificate(cert: WeakGropeCertificate, e: KnotExpr) -> CertificateChe
     stage of a nontrivial knot may be a disc, since a disc-bounding
     basis curve would compress the surface below minimal genus.
     """
+    return _check(cert, fold(e, node_facts))
+
+
+def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
     reasons: list[str] = []
-    facts = fold(e, node_facts)
     if not facts.genus.is_point():
         reasons.append("genus of expression not exactly known")
     elif cert.first_stage_genus != facts.genus.lo:
@@ -192,21 +195,16 @@ _SUM_HI = ("first-order/subadditive",
 def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     """Certified interval for the first-order genus, with provenance.
 
-    Guards that are not established simply disable the corresponding
-    rule; `knotlang.validate` surfaces those as warnings.
+    A guard that is not established disables its rule and becomes one of
+    `NodeFacts.warnings`.  `cli.build_report` folds `step` itself.
     """
-    return _bounds(e, *fold(e, _step))
+    return fold(e, step)[1]
 
 
-def _step(e: KnotExpr, kids: list) -> tuple:
-    """The fold step: e's facts, its children's facts, and, at a sum, the
-    summands' bounds; so bounds are built only on the `#` spine."""
-    kid_facts = [k[0] for k in kids]
-    summands = [_bounds(sub, *k) for sub, k in zip(children(e), kids)] if isinstance(e, Sum) else None
-    return node_facts(e, kid_facts), kid_facts, summands
-
-
-def _bounds(e: KnotExpr, facts: NodeFacts, kid_facts: list, summands: list | None) -> FirstOrderResult:
+def step(e: KnotExpr, kids: list) -> tuple[NodeFacts, FirstOrderResult]:
+    """The fold step of a report: e's facts, from one `node_facts` call,
+    and its bounds, read from those facts and its children's pairs."""
+    facts = node_facts(e, [k[0] for k in kids])
     lows: list[BoundRecord] = []
     highs: list[BoundRecord] = []
 
@@ -216,30 +214,30 @@ def _bounds(e: KnotExpr, facts: NodeFacts, kid_facts: list, summands: list | Non
 
     if isinstance(e, (Trefoil, Fig8)):
         cert = WeakGropeCertificate(1, (1, 1))
-        assert check_certificate(cert, e)
+        assert _check(cert, facts)
         highs.append(BoundRecord("hi", cert.value, *_LEAF_CERT))
 
     # A guard passes only on companions that are leaves flagged noncable
     # (fig8, kfam, atom), so their genus is exact and .lo is that genus.
     if isinstance(e, Wh0) and not facts.failed:
-        g_j = kid_facts[0].genus.lo
+        g_j = kids[0][0].genus.lo
         value, _ = min_basis_bound(g_j, 0)
         lows.append(BoundRecord("lo", value, *_DOUBLE_LO))
         cert = WeakGropeCertificate(1, (g_j, 1))
-        assert check_certificate(cert, e)
+        assert _check(cert, facts)
         highs.append(BoundRecord("hi", cert.value, *_DOUBLE_HI))
 
     if isinstance(e, Ksat) and not facts.failed:
-        gj, gl = kid_facts[0].genus.lo, kid_facts[1].genus.lo
+        gj, gl = kids[0][0].genus.lo, kids[1][0].genus.lo
         value, _ = min_basis_bound(gj, gl)
         lows.append(BoundRecord("lo", value, *_SAT_LO))
         if e.m == 0 and e.n == 0:
             cert = WeakGropeCertificate(1, (gj, gl))
-            assert check_certificate(cert, e)
+            assert _check(cert, facts)
             highs.append(BoundRecord("hi", cert.value, *_SAT_HI))
 
     if isinstance(e, Sum):
-        left, right = summands
+        left, right = kids[0][1], kids[1][1]
         if left.hi is not None and right.hi is not None:
             highs.append(BoundRecord("hi", left.hi + right.hi, *_SUM_HI))
 
@@ -254,5 +252,5 @@ def _bounds(e: KnotExpr, facts: NodeFacts, kid_facts: list, summands: list | Non
         if lo > hi:
             raise AssertionError(
                 f"inconsistent first-order bounds [{lo}, {hi}]: engine rules disagree")
-        return FirstOrderResult(IntInterval(lo, hi), (lo_record, hi_record))
-    return FirstOrderResult(IntInterval(lo, None), (lo_record,))
+        return facts, FirstOrderResult(IntInterval(lo, hi), (lo_record, hi_record))
+    return facts, FirstOrderResult(IntInterval(lo, None), (lo_record,))

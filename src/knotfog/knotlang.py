@@ -459,13 +459,7 @@ def validate(e: KnotExpr) -> list[str]:
     """
     from . import classical  # facts engine sits above the language layer
 
-    warnings: list[str] = []
-    stack = [fold(e, classical.node_facts)]
-    while stack:
-        facts = stack.pop()
-        warnings.extend(message + render(sub) for message, sub in facts.failed)
-        stack.extend(reversed(facts.warned))
-    return warnings
+    return fold(e, classical.node_facts).warnings()
 
 
 # -- pseudo-random expressions -------------------------------------------------

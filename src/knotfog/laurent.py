@@ -54,13 +54,6 @@ class LaurentPoly:
         dense = [terms.get(k, 0) for k in range(lo, hi + 1)]
         return cls(lo, dense)
 
-    @classmethod
-    def unit(cls, k: int, sign: int = 1) -> "LaurentPoly":
-        """The unit +-t^k."""
-        if sign not in (1, -1):
-            raise ValueError("unit sign must be +1 or -1")
-        return cls(k, (sign,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

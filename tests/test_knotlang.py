@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from knotfog import classical, firstorder
+from knotfog import classical, cli, firstorder
 from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, Ksat, ParseError, Sum,
                               Trefoil, TriState, Unknot, Wh0, builtin_flags, children,
                               fold, parse, random_expr, render, validate)
@@ -152,8 +152,30 @@ class TestFold:
         n = 2000
         e = chain(n)
         assert count_calls(classical.node_facts.__code__, lambda: classical.facts_of(e)) == 2 * n - 1
-        assert count_calls(firstorder._step.__code__, lambda: firstorder.first_order_genus(e)) == 2 * n - 1
+        assert count_calls(firstorder.step.__code__, lambda: firstorder.first_order_genus(e)) == 2 * n - 1
         assert count_calls(classical.node_facts.__code__, lambda: validate(e)) == 2 * n - 1
+
+
+class TestOneFoldPerReport:
+    @pytest.mark.parametrize("e", [
+        chain(2000),
+        parse("trefoil # wh0(fig8) # ksat(kfam(1), kfam(2), 0, 0) # wh0(kfam(3), clasp=-)"
+              " # ksat(wh0(fig8), ksat(fig8, atom(A, genus=2, torus=no, cable=no), 0, 0), 1, 0)"),
+    ], ids=["chain", "certified-and-nested"])
+    def test_report_folds_once_with_one_facts_step_per_node(self, e):
+        nodes = fold(e, lambda node, kids: 1 + sum(kids))
+        text = render(e)
+        assert count_calls(fold.__code__, lambda: cli.build_report(text)) == 1
+        assert count_calls(classical.node_facts.__code__, lambda: cli.build_report(text)) == nodes
+
+    def test_report_matches_the_separate_readers(self):
+        rng = random.Random(6006)
+        for i in range(1000):
+            e = random_expr(rng, max_depth=1 + i % 7)
+            report = cli.build_report(render(e))
+            assert report.facts == classical.facts_of(e)
+            assert report.fog == firstorder.first_order_genus(e)
+            assert report.warnings == tuple(validate(e))
 
 
 class TestRender:
