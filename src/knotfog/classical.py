@@ -53,8 +53,7 @@ class IntInterval:
         return {"lo": self.lo, "hi": self.hi}
 
 
-@dataclasses.dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     fact: str
     rule: str
     anchor: str
@@ -63,8 +62,7 @@ class Provenance:
         return {"fact": self.fact, "rule": self.rule, "anchor": self.anchor}
 
 
-@dataclasses.dataclass(frozen=True)
-class KnotFacts:
+class KnotFacts(NamedTuple):
     """Derived classical invariants of one expression."""
 
     genus: IntInterval
@@ -216,14 +214,20 @@ def class_r_of(e: KnotExpr) -> TriState:
 def alexander_of(e: KnotExpr) -> LaurentPoly | None:
     """Canonical Alexander polynomial, or None when no rule applies.
     Polynomials multiply along the `#` spine only: a double's or a ksat's
-    polynomial comes from its own node, never from its companions."""
-    product = ONE
-    stack = [e]
+    polynomial comes from its own node, never from its companions.  An
+    atom anywhere on the spine answers None before anything multiplies."""
+    leaves, stack = [], [e]
     while stack:
         node = stack.pop()
         if isinstance(node, Sum):
             stack += node.right, node.left
-        elif isinstance(node, (Unknot, Wh0)):
+        elif isinstance(node, Atom):
+            return None
+        else:
+            leaves.append(node)
+    product = ONE
+    for node in leaves:
+        if isinstance(node, (Unknot, Wh0)):
             continue  # trivial polynomial
         elif isinstance(node, Trefoil):
             product *= seifert.alexander_polynomial(TREFOIL_MATRIX)
@@ -233,8 +237,6 @@ def alexander_of(e: KnotExpr) -> LaurentPoly | None:
             product *= PRETZEL_BASE ** node.n
         elif isinstance(node, Ksat):
             product *= seifert.alexander_polynomial(seifert.SeifertMatrix(((node.m, 1), (0, node.n))))
-        elif isinstance(node, Atom):
-            return None
         else:
             raise TypeError(f"not a KnotExpr: {node!r}")
         product = product.canonical()

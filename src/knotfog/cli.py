@@ -4,7 +4,8 @@
     knotfog family-table --n <k>         the Whitehead-double family, n = 1..k
     knotfog selftest                     run the acceptance criteria
 
-Exit codes: 0 success, 1 self-test failure, 2 usage or parse error.
+Exit codes: 0 success, 1 self-test failure, 2 usage or parse error, or
+an answer with an integer too long for the interpreter to print.
 Data output is byte-identical across runs; timing diagnostics go to
 stderr only.
 """
@@ -12,18 +13,17 @@ stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from typing import NamedTuple
 
-from . import classical, firstorder, selftest
+from . import classical, firstorder
 from .classical import KnotFacts
 from .firstorder import FirstOrderResult
 from .knotlang import Kfam, ParseError, Wh0, fold, parse, render
 
 
-@dataclasses.dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Three readers of one `fold(expr, firstorder.step)`; no recomputation."""
 
     expression: str
@@ -124,10 +124,13 @@ def main(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(render_report(report))
+        try:
+            text = json.dumps(report.to_json(), indent=2) if args.json else render_report(report)
+        except ValueError:  # CPython's limit on int-to-str conversion
+            print(f"error: the answer has an integer of more than {sys.get_int_max_str_digits()}"
+                  " digits, past the interpreter's limit for printing one", file=sys.stderr)
+            return 2
+        print(text)
         return 0
 
     if args.command == "family-table":
@@ -136,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         print(family_table(args.n))
         return 0
 
-    # selftest
+    from . import selftest  # only here, so a report never imports it
     results = selftest.run_all()
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import NamedTuple
 
 from .classical import IntInterval, NodeFacts, node_facts
 from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, fold
@@ -56,8 +57,7 @@ class WeakGropeCertificate:
         return sum(self.second_stage_genera)
 
 
-@dataclasses.dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
 
@@ -102,8 +102,7 @@ class BasisWitness:
             raise ValueError("witness must have determinant 1")
 
 
-@dataclasses.dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     bound: str  # "lo" | "hi"
     value: int
     rule: str
@@ -114,8 +113,7 @@ class BoundRecord:
                 "rule": self.rule, "anchor": self.anchor}
 
 
-@dataclasses.dataclass(frozen=True)
-class FirstOrderResult:
+class FirstOrderResult(NamedTuple):
     """Interval for the first-order genus, one provenance record per bound."""
 
     interval: IntInterval

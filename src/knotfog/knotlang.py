@@ -215,9 +215,9 @@ class _Parser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if not self.peek().isdigit():
+        if not self.peek().isdecimal():  # exactly the digits int() reads
             raise self.error("expected an integer", start)
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         literal = self.text[start:self.pos]
         magnitude = literal.lstrip("-").lstrip("0") or "0"

@@ -219,10 +219,6 @@ class LaurentPoly:
     def to_json(self) -> dict:
         return {"min_degree": self.min_degree, "coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LaurentPoly":
-        return cls(int(data["min_degree"]), [int(c) for c in data["coeffs"]])
-
 
 def _coerce(value: "int | LaurentPoly"):
     if isinstance(value, LaurentPoly):

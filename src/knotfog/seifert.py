@@ -62,9 +62,6 @@ class SeifertMatrix:
         """
         return self.size // 2
 
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries) + "]"
 
@@ -93,9 +90,6 @@ class BasisChange:
         P = self.entries
         J = standard_form(self.size // 2)
         return _mat_mul(_mat_mul(P, J), _transpose(P)) == J
-
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 # -- determinants -------------------------------------------------------

@@ -11,10 +11,9 @@ randomness is seeded here.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import classical, firstorder, knotlang, seifert
 from .knotlang import Ksat, Sum, TriState, Unknot, Wh0, Kfam, Atom, parse, render
@@ -242,8 +241,7 @@ CRITERIA: tuple[tuple[str, Callable[[], str]], ...] = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str

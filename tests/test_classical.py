@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -192,6 +193,36 @@ class TestAlexander:
     def test_atom_is_unknown(self):
         assert alexander_of(Atom("J", 2)) is None
         assert alexander_of(Sum(Atom("J", 2), Trefoil())) is None
+
+    @staticmethod
+    def products(text: str) -> int:
+        """How many times alexander_of(parse(text)) enters LaurentPoly.__mul__."""
+        e, code, count = parse(text), LaurentPoly.__mul__.__code__, 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code is code
+
+        sys.setprofile(profile)
+        try:
+            alexander_of(e)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    def test_atom_on_the_spine_stops_before_any_product(self):
+        assert self.products("trefoil # fig8 # kfam(3) # atom(A, genus=1)") == 0
+        assert self.products("atom(A, genus=1) # (trefoil # (fig8 # kfam(3)))") == 0
+
+    @pytest.mark.parametrize("text, count", [
+        ("trefoil # fig8 # kfam(3) # wh0(fig8) # unknot # ksat(fig8, fig8, 2, 3)", 4),
+        ("(trefoil # kfam(2)) # (fig8 # (unknot # ksat(trefoil, fig8, 1, 1)))", 4),
+        ("trefoil # wh0(atom(A, genus=1)) # kfam(2) # ksat(atom(B, genus=2), fig8, 1, 0)", 3),
+    ])
+    def test_atom_free_spine_multiplies_each_factor_once(self, text, count):
+        # one product per nontrivial spine leaf; atoms inside companions do not count
+        assert self.products(text) == count
+        assert alexander_of(parse(text)) is not None
 
     def test_pretzel_cross_check_family(self):
         # two independent code paths: closed power form vs determinant

@@ -104,6 +104,45 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+class TestDecimalDigits:
+    @pytest.mark.parametrize("text, position", [
+        ("kfam(²)", 5), ("atom(A, genus=²)", 14), ("ksat(fig8, fig8, ¹, 0)", 17),
+    ], ids=["kfam", "atom-genus", "ksat-m"])
+    def test_superscripts_are_positioned_rejections(self, text, position):
+        # str.isdigit() accepts superscripts, which int() refuses
+        proc = run_cli("invariants", text)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"parse error: expected an integer (at position {position})\n"
+
+    def test_other_decimal_scripts_still_read(self, capsys):
+        assert cli.main(["invariants", "kfam(١٢)"]) == 0
+        arabic = capsys.readouterr().out
+        assert cli.main(["invariants", "kfam(12)"]) == 0
+        assert arabic == capsys.readouterr().out
+
+
+class TestUnprintableAnswer:
+    KSAT = "ksat(fig8, fig8, {0}, {0})".format("9" * INT_DIGITS_MAX)
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["table", "json"])
+    def test_past_the_int_to_str_limit_is_one_line_and_exit_2(self, flags):
+        proc = run_cli("invariants", " # ".join([self.KSAT] * 3), *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "4300 digits" in lines[0] and "set_int_max_str_digits" not in lines[0]
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["table", "json"])
+    def test_under_the_limit_still_answers(self, flags):
+        # two such terms: coefficients of up to 4001 digits
+        proc = run_cli("invariants", " # ".join([self.KSAT] * 2), *flags)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stderr == ""
+        assert max(map(len, re.findall(r"\d+", proc.stdout))) == 4001
+
+
 class TestLongChain:
     def test_3000_term_chain_answers(self):
         # past the interpreter's recursion limit: no engine may recurse
@@ -289,6 +328,17 @@ class TestSelftestCommand:
         assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL pretzel-polynomial-identity" in out
+
+    def test_reports_do_not_import_selftest(self):
+        src = str(Path(knotfog.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, knotfog.cli; print('knotfog.selftest' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)})
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "False\n"
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
