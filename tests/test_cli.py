@@ -95,13 +95,18 @@ class TestInvariants:
         assert str(report.facts.alexander) == "1"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this knotfog."""
     src = str(Path(knotfog.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "knotfog.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    return run_python("-m", "knotfog.cli", *args)
 
 
 class TestDecimalDigits:
@@ -330,13 +335,7 @@ class TestSelftestCommand:
         assert "FAIL pretzel-polynomial-identity" in out
 
     def test_reports_do_not_import_selftest(self):
-        src = str(Path(knotfog.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, knotfog.cli; print('knotfog.selftest' in sys.modules)"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p)})
+        proc = run_python("-c", "import sys, knotfog.cli; print('knotfog.selftest' in sys.modules)")
         assert proc.returncode == 0, proc.stderr[-500:]
         assert proc.stdout == "False\n"
 
