@@ -13,27 +13,27 @@ g >= |w|*g(C) + g(P).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple
 
 from . import seifert
+from .frozen import Frozen
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
                        Unknot, Wh0, builtin_flags, fold, render)
 from .laurent import ONE, LaurentPoly
 
 
-@dataclasses.dataclass(frozen=True)
-class IntInterval:
+class IntInterval(Frozen):
     """Integer interval [lo, hi]; hi=None means unbounded above."""
 
-    lo: int
-    hi: int | None
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError(f"interval lower bound must be nonnegative, got {self.lo}")
-        if self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int | None):
+        if lo < 0:
+            raise ValueError(f"interval lower bound must be nonnegative, got {lo}")
+        if hi is not None and lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, value: int) -> "IntInterval":

@@ -13,7 +13,6 @@ stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NamedTuple
 
@@ -124,6 +123,8 @@ def main(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
+        if args.json:
+            import json  # only here, so a table report never imports it
         try:
             text = json.dumps(report.to_json(), indent=2) if args.json else render_report(report)
         except ValueError:  # CPython's limit on int-to-str conversion

@@ -26,30 +26,30 @@ Unknown simply stays unknown: hi = None whenever no certificate exists.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import NamedTuple
 
 from .classical import IntInterval, NodeFacts, node_facts
+from .frozen import Frozen
 from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, fold
 
 
-@dataclasses.dataclass(frozen=True)
-class WeakGropeCertificate:
+class WeakGropeCertificate(Frozen):
     """First-stage genus g plus the 2g second-stage genera, in basis order."""
 
-    first_stage_genus: int
-    second_stage_genera: tuple[int, ...]
+    __slots__ = ("first_stage_genus", "second_stage_genera")
 
-    def __post_init__(self):
-        if self.first_stage_genus < 1:
-            raise ValueError(f"first stage genus must be >= 1, got {self.first_stage_genus}")
-        if len(self.second_stage_genera) != 2 * self.first_stage_genus:
+    def __init__(self, first_stage_genus: int, second_stage_genera: tuple[int, ...]):
+        if first_stage_genus < 1:
+            raise ValueError(f"first stage genus must be >= 1, got {first_stage_genus}")
+        if len(second_stage_genera) != 2 * first_stage_genus:
             raise ValueError(
-                f"expected {2 * self.first_stage_genus} second-stage genera, "
-                f"got {len(self.second_stage_genera)}")
-        if any(g < 0 for g in self.second_stage_genera):
+                f"expected {2 * first_stage_genus} second-stage genera, "
+                f"got {len(second_stage_genera)}")
+        if any(g < 0 for g in second_stage_genera):
             raise ValueError("second-stage genera must be nonnegative")
+        object.__setattr__(self, "first_stage_genus", first_stage_genus)
+        object.__setattr__(self, "second_stage_genera", second_stage_genera)
 
     @property
     def value(self) -> int:
@@ -87,19 +87,16 @@ def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
     return CertificateCheck(not reasons, tuple(reasons))
 
 
-@dataclasses.dataclass(frozen=True)
-class BasisWitness:
+class BasisWitness(Frozen):
     """A basis change x = p*a + q*b, y = r*a + s*b realizing the minimum."""
 
-    p: int
-    q: int
-    r: int
-    s: int
-    value: int
+    __slots__ = ("p", "q", "r", "s", "value")
 
-    def __post_init__(self):
-        if self.p * self.s - self.q * self.r != 1:
+    def __init__(self, p: int, q: int, r: int, s: int, value: int):
+        if p * s - q * r != 1:
             raise ValueError("witness must have determinant 1")
+        for name, field in zip(self.__slots__, (p, q, r, s, value)):
+            object.__setattr__(self, name, field)
 
 
 class BoundRecord(NamedTuple):

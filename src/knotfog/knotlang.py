@@ -27,9 +27,10 @@ defaults explicitly, so that parse(render(e)) == e.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import random
+
+from .frozen import Frozen
 
 
 # Largest accepted kfam index.  The Alexander polynomial of kfam(n) is
@@ -67,41 +68,37 @@ class TriState(str, enum.Enum):
         return self.value
 
 
-class KnotExpr:
+class KnotExpr(Frozen):
     """Base class for construction-tree nodes; all nodes are frozen values."""
 
     __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
 class Unknot(KnotExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
 class Trefoil(KnotExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
 class Fig8(KnotExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
 class Kfam(KnotExpr):
     """The n-th member of the ribbon pretzel family; 1 <= n <= KFAM_MAX."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"kfam requires n >= 1, got {self.n}")
-        if self.n > KFAM_MAX:
-            raise ValueError(f"kfam requires n <= {KFAM_MAX}, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"kfam requires n >= 1, got {n}")
+        if n > KFAM_MAX:
+            raise ValueError(f"kfam requires n <= {KFAM_MAX}, got {n}")
+        object.__setattr__(self, "n", n)
 
 
-@dataclasses.dataclass(frozen=True)
 class Wh0(KnotExpr):
     """Untwisted Whitehead double with the given clasp sign.
 
@@ -109,49 +106,55 @@ class Wh0(KnotExpr):
     this node carries only the clasp.
     """
 
-    companion: KnotExpr
-    clasp: str = "+"
+    __slots__ = ("companion", "clasp")
 
-    def __post_init__(self):
-        if self.clasp not in ("+", "-"):
-            raise ValueError(f"clasp must be '+' or '-', got {self.clasp!r}")
+    def __init__(self, companion: KnotExpr, clasp: str = "+"):
+        if clasp not in ("+", "-"):
+            raise ValueError(f"clasp must be '+' or '-', got {clasp!r}")
+        object.__setattr__(self, "companion", companion)
+        object.__setattr__(self, "clasp", clasp)
 
 
-@dataclasses.dataclass(frozen=True)
 class Ksat(KnotExpr):
     """Doubly-companioned genus-one construction: two bands tied into j and l
     with m and n full twists, joined by a single clasp."""
 
-    j: KnotExpr
-    l: KnotExpr
-    m: int
-    n: int
+    __slots__ = ("j", "l", "m", "n")
+
+    def __init__(self, j: KnotExpr, l: KnotExpr, m: int, n: int):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
-@dataclasses.dataclass(frozen=True)
 class Atom(KnotExpr):
     """An opaque nontrivial knot with declared attributes; genus >= 1 so
     nontriviality is structural."""
 
-    name: str
-    genus: int
-    torus: TriState = TriState.UNKNOWN
-    cable: TriState = TriState.UNKNOWN
-    slice: TriState = TriState.UNKNOWN
+    __slots__ = ("name", "genus", "torus", "cable", "slice")
 
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError(f"atom genus must be >= 1, got {self.genus}")
-        if not _is_name(self.name):
-            raise ValueError(f"invalid atom name {self.name!r}")
+    def __init__(self, name: str, genus: int, torus: TriState = TriState.UNKNOWN,
+                 cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
+        if genus < 1:
+            raise ValueError(f"atom genus must be >= 1, got {genus}")
+        if not _is_name(name):
+            raise ValueError(f"invalid atom name {name!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "cable", cable)
+        object.__setattr__(self, "slice", slice)
 
 
-@dataclasses.dataclass(frozen=True)
 class Sum(KnotExpr):
     """Connected sum."""
 
-    left: KnotExpr
-    right: KnotExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: KnotExpr, right: KnotExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def _is_name(s: str) -> bool:

@@ -10,13 +10,15 @@ grow like 2^n and must never overflow.
 
 from __future__ import annotations
 
-import dataclasses
-from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+
+from .frozen import Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """An integer Laurent polynomial, stored densely from its lowest exponent.
 
     ``coeffs[i]`` is the coefficient of ``t**(min_degree + i)``.  The zero
@@ -29,8 +31,7 @@ class LaurentPoly:
     LaurentPoly('1')
     """
 
-    min_degree: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("min_degree", "coeffs")
 
     def __init__(self, min_degree: int = 0, coeffs: Sequence[int] = ()):
         lo, hi = 0, len(coeffs)
@@ -163,19 +164,26 @@ class LaurentPoly:
             q.append(qj)
         return LaurentPoly(self.min_degree * k, q)
 
-    def evaluate(self, x: "int | Fraction") -> Fraction:
+    def evaluate(self, x: "int | Fraction") -> "int | Fraction":
         """Exact substitution t := x; x must be nonzero (negative exponents).
 
-        Horner's rule over the stored coefficients, in integers when x is
-        an integer, times x^min_degree once at the end.
+        Returns an int when x is an int and the value is an integer by
+        shape: min_degree >= 0, or x = +-1.  Every other x gives a
+        Fraction; the result is never a float.  Horner's rule over the
+        stored coefficients, in integers when x is an integer, times
+        x^min_degree once at the end.
         """
-        x = Fraction(x)
+        if not (isinstance(x, int) and (self.min_degree >= 0 or x in (1, -1))):
+            from fractions import Fraction  # only here: every report evaluates at 1
+            x = Fraction(x)
         if x == 0:
             raise ValueError("cannot evaluate at t = 0: negative exponents")
         step = x.numerator if x.denominator == 1 else x
         total = 0
         for c in reversed(self.coeffs):
             total = total * step + c
+        if isinstance(x, int):  # x^-k = x^k at x = +-1, and 1 ** -2 is a float
+            return total * x ** abs(self.min_degree)
         return total * x ** self.min_degree
 
     # -- unit normalization ----------------------------------------------

@@ -19,11 +19,11 @@ block diagonal.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from typing import Sequence
 
+from .frozen import Frozen
 from .laurent import LaurentPoly
 
 Rows = tuple[tuple[int, ...], ...]
@@ -37,11 +37,10 @@ def _freeze(entries: Sequence[Sequence[int]]) -> Rows:
     return rows
 
 
-@dataclasses.dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Frozen):
     """Square integer matrix of even size 2g; size 0 is the disc."""
 
-    entries: Rows
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
         rows = _freeze(entries)
@@ -66,11 +65,10 @@ class SeifertMatrix:
         return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries) + "]"
 
 
-@dataclasses.dataclass(frozen=True)
-class BasisChange:
+class BasisChange(Frozen):
     """Unimodular integer matrix acting on a Seifert matrix by congruence."""
 
-    entries: Rows
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
         rows = _freeze(entries)

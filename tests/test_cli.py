@@ -339,6 +339,23 @@ class TestSelftestCommand:
         assert proc.returncode == 0, proc.stderr[-500:]
         assert proc.stdout == "False\n"
 
+    @pytest.mark.parametrize("flags, loaded", [((), []), (("--json",), ["json"])],
+                             ids=["table", "json"])
+    def test_reports_import_only_what_they_use(self, flags, loaded):
+        # every cold `invariants` process pays for each module it imports
+        code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
+                "print(status, *[m for m in ('dataclasses', 'fractions', 'json', "
+                "'knotfog.selftest') if m in sys.modules], file=sys.stderr)")
+        text = "trefoil # kfam(2) # ksat(fig8, fig8, 1, 2) # wh0(fig8) # unknot"
+        proc = run_python("-c", code, "invariants", text, *flags)
+        assert proc.stderr.split() == ["0", *loaded]
+
+    def test_no_source_imports_dataclasses(self):
+        sources = sorted(Path(knotfog.__file__).parent.glob("*.py"))
+        assert sources
+        for path in sources:
+            assert not re.search(r"^\s*(import|from) dataclasses\b", path.read_text(), re.M), path
+
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

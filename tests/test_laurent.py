@@ -119,6 +119,7 @@ class TestEvaluate:
 
     def test_zero_poly(self):
         assert ZERO.evaluate(7) == 0
+        assert type(ZERO.evaluate(7)) is int
 
     def test_negative_exponents_give_fractions(self):
         assert LaurentPoly(-1, (1,)).evaluate(2) == Fraction(1, 2)
@@ -130,6 +131,24 @@ class TestEvaluate:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             BASE.evaluate(0)
+        with pytest.raises(ValueError):
+            LaurentPoly(-1, (1,)).evaluate(0)
+
+    @pytest.mark.parametrize("shift", [-3, 0, 3], ids=["negative", "zero", "positive"])
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=9)
+           .filter(lambda c: c[0] != 0),
+           st.fractions(max_denominator=7).filter(bool))
+    def test_matches_the_fraction_oracle_and_is_never_a_float(self, shift, coeffs, q):
+        # an int exactly where the value is an integer by shape, else a Fraction
+        p = LaurentPoly(shift, coeffs)
+        assert p.min_degree == shift
+        for x in [-3, -2, -1, 1, 2, 3, q]:
+            want = sum(Fraction(c) * Fraction(x) ** k for k, c in p.terms())
+            got = p.evaluate(x)
+            assert got == want
+            exact_int = isinstance(x, int) and (shift >= 0 or x in (1, -1))
+            assert type(got) is (int if exact_int else Fraction)
 
 
 class TestCanonical:
