@@ -210,9 +210,9 @@ class _Parser:
     def integer(self, max_digits: int = INT_DIGITS_MAX,
                 limit: str = f"integers have at most {INT_DIGITS_MAX} digits") -> int:
         """The next INT.  One of more than max_digits digits, sign and
-        leading zeros not counted, is a ParseError at its start saying
-        `limit`; it is measured before int(), which refuses literals of
-        over 4300 digits."""
+        leading zeros (of any decimal script) not counted, is a ParseError
+        at its start saying `limit`; it is measured before int(), which
+        refuses literals of over 4300 digits."""
         at = self.pos
         self.skip_ws()
         start = self.pos
@@ -223,7 +223,11 @@ class _Parser:
         while self.peek().isdecimal():
             self.pos += 1
         literal = self.text[start:self.pos]
-        magnitude = literal.lstrip("-").lstrip("0") or "0"
+        digits = literal.lstrip("-")
+        lead = 0
+        while lead < len(digits) - 1 and int(digits[lead]) == 0:  # a zero of any script
+            lead += 1
+        magnitude = digits[lead:]
         if len(magnitude) > max_digits:
             raise self.error(f"{limit}, got a {len(magnitude)}-digit integer", at)
         return -int(magnitude) if literal.startswith("-") else int(magnitude)

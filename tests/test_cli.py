@@ -126,6 +126,17 @@ class TestDecimalDigits:
         assert cli.main(["invariants", "kfam(12)"]) == 0
         assert arabic == capsys.readouterr().out
 
+    def test_leading_zeros_of_any_script_do_not_count(self):
+        arabic, ascii_ = run_cli("invariants", "kfam(٠٠٠٠٠٧)"), run_cli("invariants", "kfam(7)")
+        assert arabic.returncode == ascii_.returncode == 0, arabic.stderr
+        assert (arabic.stdout, arabic.stderr) == (ascii_.stdout, ascii_.stderr)
+
+    def test_zeros_past_the_digit_limit_then_one_answer(self):
+        proc = run_cli("invariants", "atom(A, genus=" + "٠" * (INT_DIGITS_MAX + 1) + "1)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("expression   atom(A, genus=1, ")
+        assert "genus        [1, 1]\n" in proc.stdout
+
 
 class TestUnprintableAnswer:
     KSAT = "ksat(fig8, fig8, {0}, {0})".format("9" * INT_DIGITS_MAX)
