@@ -81,8 +81,8 @@ def family_table(n_max: int) -> str:
     seen: list[int] = []
     for n in range(1, n_max + 1):
         e = Wh0(Kfam(n))
-        facts = classical.facts_of(e)
-        fog = firstorder.first_order_genus(e)
+        node, fog = fold(e, firstorder.step)
+        facts = classical.knot_facts(e, node)
         assert fog.interval.is_point(), f"family row {n} has an open interval"
         assert facts.genus == classical.IntInterval.point(1)
         assert facts.alexander is not None and facts.alexander.is_one()
