@@ -1,10 +1,13 @@
-"""One base for knotfog's immutable values, without `dataclasses`.
+"""One base for knotfog's immutable values.
 
 A subclass lists its fields, in order, as `__slots__` and sets each in an
 explicit `__init__` with `object.__setattr__`.  The base supplies what a
 frozen dataclass would: equality by fields within one class only, a hash
 over the fields, the `Name(field=value, ...)` repr, refusal to assign or
-delete attributes, and copy and pickle by calling the class again.
+delete attributes, and copy and pickle by calling the class again.  It
+is hand-written because every CLI process imports these classes, and
+`dataclasses` would cost it the import of `inspect` plus generated code
+compiled per class.
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ class LaurentPoly(Frozen):
         x^min_degree once at the end.
         """
         if not (isinstance(x, int) and (self.min_degree >= 0 or x in (1, -1))):
-            from fractions import Fraction  # only here: every report evaluates at 1
+            from fractions import Fraction  # imported here: reports evaluate only at t = 1
             x = Fraction(x)
         if x == 0:
             raise ValueError("cannot evaluate at t = 0: negative exponents")
