@@ -246,56 +246,56 @@ def alexander_of(e: KnotExpr) -> LaurentPoly | None:
 # -- provenance ----------------------------------------------------------------
 
 
-_GENUS_RULES = {
-    Unknot: ("genus/unknot", "the unknot bounds a disc"),
-    Trefoil: ("genus/curated-leaf", "trefoil and figure-eight have genus one"),
-    Fig8: ("genus/curated-leaf", "trefoil and figure-eight have genus one"),
-    Kfam: ("genus/pretzel-family",
-           "the n-th pretzel-family surface has genus n and is minimal by the degree of its Alexander polynomial"),
-    Atom: ("genus/declared", "genus declared on the atom"),
-    Sum: ("genus/connected-sum", "genus is additive under connected sum"),
-    Wh0: ("genus/whitehead-double",
-          "an untwisted double has genus one for a nontrivial companion and is trivial for a trivial one"),
+# Rule id -> anchor, the one place each classical rule is spelled.
+_ANCHORS = {
+    "genus/unknot": "the unknot bounds a disc",
+    "genus/curated-leaf": "trefoil and figure-eight have genus one",
+    "genus/pretzel-family":
+        "the n-th pretzel-family surface has genus n and is minimal by the degree of its Alexander polynomial",
+    "genus/declared": "genus declared on the atom",
+    "genus/connected-sum": "genus is additive under connected sum",
+    "genus/whitehead-double":
+        "an untwisted double has genus one for a nontrivial companion and is trivial for a trivial one",
+    "genus/satellite-unknot":
+        "a zero framing next to a trivial companion collapses the construction to the unknot",
+    "genus/satellite-one":
+        "a certified satellite carried by the standard genus-one surface has genus exactly one",
+    "genus/standard-surface":
+        "the standard surface bounds the genus by one; nontriviality is not established",
+    "alexander/unknot": "the unknot has trivial Alexander polynomial",
+    "alexander/seifert-determinant": "det(V - t*V^T) of the curated genus-one Seifert matrix",
+    "alexander/pretzel-power": "the pretzel family satisfies Delta_n = (-2t^2+5t-2)^n",
+    "alexander/untwisted-double": "untwisted doubles have trivial Alexander polynomial",
+    "alexander/twist-model":
+        "the standard genus-one surface with band framings m, n has Seifert matrix [[m,1],[0,n]]",
+    "alexander/connected-sum": "Alexander polynomials multiply under connected sum",
+    "alexander/unknown": "no rule produces the polynomial of an opaque atom",
+    "slice/unknot": "the unknot is slice",
+    "slice/ribbon": "the pretzel family is ribbon, and ribbon implies slice",
+    "slice/curated-leaf": "curated flag: classical sliceness obstructions",
+    "slice/declared": "sliceness declared on the atom",
+    "slice/double-of-slice": "the untwisted double of a smoothly slice knot is smoothly slice",
+    "slice/connected-sum": "a connected sum of slice knots is slice",
+    "slice/unknown": "no sliceness rule applies to the doubly-companioned construction",
+    "class-r/definition": "class R consists of nontrivial knots that are neither torus nor cable knots",
+    "trivial/genus": "a knot is trivial iff it has genus zero",
 }
 
-_ALEXANDER_RULES = {
-    Unknot: ("alexander/unknot", "the unknot has trivial Alexander polynomial"),
-    Trefoil: ("alexander/seifert-determinant", "det(V - t*V^T) of the curated genus-one Seifert matrix"),
-    Fig8: ("alexander/seifert-determinant", "det(V - t*V^T) of the curated genus-one Seifert matrix"),
-    Kfam: ("alexander/pretzel-power", "the pretzel family satisfies Delta_n = (-2t^2+5t-2)^n"),
-    Wh0: ("alexander/untwisted-double", "untwisted doubles have trivial Alexander polynomial"),
-    Ksat: ("alexander/twist-model",
-           "the standard genus-one surface with band framings m, n has Seifert matrix [[m,1],[0,n]]"),
-    Sum: ("alexander/connected-sum", "Alexander polynomials multiply under connected sum"),
-    Atom: ("alexander/unknown", "no rule produces the polynomial of an opaque atom"),
+# Node type -> its genus, alexander and slice rule ids.  A ksat's genus
+# rule depends on which of its three genus intervals the node has.
+_RULES = {
+    Unknot: ("genus/unknot", "alexander/unknot", "slice/unknot"),
+    Trefoil: ("genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"),
+    Fig8: ("genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"),
+    Kfam: ("genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"),
+    Atom: ("genus/declared", "alexander/unknown", "slice/declared"),
+    Sum: ("genus/connected-sum", "alexander/connected-sum", "slice/connected-sum"),
+    Wh0: ("genus/whitehead-double", "alexander/untwisted-double", "slice/double-of-slice"),
+    Ksat: ({IntInterval.point(0): "genus/satellite-unknot",
+            IntInterval.point(1): "genus/satellite-one",
+            IntInterval(0, 1): "genus/standard-surface"},
+           "alexander/twist-model", "slice/unknown"),
 }
-
-_SLICE_RULES = {
-    Unknot: ("slice/unknot", "the unknot is slice"),
-    Kfam: ("slice/ribbon", "the pretzel family is ribbon, and ribbon implies slice"),
-    Trefoil: ("slice/curated-leaf", "curated flag: classical sliceness obstructions"),
-    Fig8: ("slice/curated-leaf", "curated flag: classical sliceness obstructions"),
-    Atom: ("slice/declared", "sliceness declared on the atom"),
-    Wh0: ("slice/double-of-slice", "the untwisted double of a smoothly slice knot is smoothly slice"),
-    Sum: ("slice/connected-sum", "a connected sum of slice knots is slice"),
-    Ksat: ("slice/unknown", "no sliceness rule applies to the doubly-companioned construction"),
-}
-
-
-def _genus_rule(e: KnotExpr, g: IntInterval) -> Provenance:
-    if isinstance(e, Ksat):
-        if g == IntInterval.point(0):
-            rule, anchor = ("genus/satellite-unknot",
-                            "a zero framing next to a trivial companion collapses the construction to the unknot")
-        elif g == IntInterval.point(1):
-            rule, anchor = ("genus/satellite-one",
-                            "a certified satellite carried by the standard genus-one surface has genus exactly one")
-        else:
-            rule, anchor = ("genus/standard-surface",
-                            "the standard surface bounds the genus by one; nontriviality is not established")
-        return Provenance("genus", rule, anchor)
-    rule, anchor = _GENUS_RULES[type(e)]
-    return Provenance("genus", rule, anchor)
 
 
 def facts_of(e: KnotExpr) -> KnotFacts:
@@ -306,14 +306,12 @@ def facts_of(e: KnotExpr) -> KnotFacts:
 def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:
     """e's classical invariants from its folded facts, with provenance."""
     alexander = alexander_of(e)
-    provenance = (
-        _genus_rule(e, facts.genus),
-        Provenance("alexander", *_ALEXANDER_RULES[type(e)]),
-        Provenance("slice", *_SLICE_RULES[type(e)]),
-        Provenance("in_R", "class-r/definition",
-                   "class R consists of nontrivial knots that are neither torus nor cable knots"),
-        Provenance("trivial", "trivial/genus", "a knot is trivial iff it has genus zero"),
-    )
+    genus_rule, alexander_rule, slice_rule = _RULES[type(e)]
+    if isinstance(e, Ksat):
+        genus_rule = genus_rule[facts.genus]
+    provenance = tuple([Provenance(fact, rule, _ANCHORS[rule]) for fact, rule in (
+        ("genus", genus_rule), ("alexander", alexander_rule), ("slice", slice_rule),
+        ("in_R", "class-r/definition"), ("trivial", "trivial/genus"))])
     if alexander is not None:
         assert abs(alexander.evaluate(1)) == 1, \
             f"Alexander polynomial of {render(e)} fails the determinant-one check"

@@ -41,11 +41,11 @@ class Report(NamedTuple):
 
 def build_report(text: str) -> Report:
     expr = parse(text)
-    facts, fog = fold(expr, firstorder.step)
+    facts, lo, hi = fold(expr, firstorder.step)
     return Report(
         expression=render(expr),
         facts=classical.knot_facts(expr, facts),
-        fog=fog,
+        fog=firstorder.first_order_result(lo, hi),
         warnings=tuple(facts.warnings()),
     )
 
@@ -81,8 +81,8 @@ def family_table(n_max: int) -> str:
     seen: list[int] = []
     for n in range(1, n_max + 1):
         e = Wh0(Kfam(n))
-        node, fog = fold(e, firstorder.step)
-        facts = classical.knot_facts(e, node)
+        node, lo, hi = fold(e, firstorder.step)
+        facts, fog = classical.knot_facts(e, node), firstorder.first_order_result(lo, hi)
         assert fog.interval.is_point(), f"family row {n} has an open interval"
         assert facts.genus == classical.IntInterval.point(1)
         assert facts.alexander is not None and facts.alexander.is_one()

@@ -165,26 +165,22 @@ def min_basis_bound(g_alpha: int, g_beta: int) -> tuple[int, BasisWitness]:
 # -- interval assembly -----------------------------------------------------
 
 
-_TWICE = ("first-order/twice-genus",
-          "the first-order genus is at least twice the genus: no basis curve of a "
-          "minimal surface bounds a disc in the complement")
-_UNKNOT = ("first-order/unknot", "the unknot has first-order genus zero")
-_LEAF_CERT = ("first-order/leaf-certificate",
-              "each basis curve of the standard genus-one surface bounds a punctured torus")
-_DOUBLE_LO = ("first-order/double-enumerator",
-              "on the unique minimal surface of a double of a noncable knot, every "
-              "basis curve is a satellite of the companion: g1 >= 1 + g(companion)")
-_DOUBLE_HI = ("first-order/double-certificate",
-              "on the standard double surface one curve bounds a pushed-off minimal "
-              "surface of the companion and the other a punctured torus")
-_SAT_LO = ("first-order/satellite-enumerator",
-           "every symplectic basis of a minimal surface consists of satellites of "
-           "the two companions: g1 >= g(J) + g(L)")
-_SAT_HI = ("first-order/satellite-certificate",
-           "at zero framings the two companion Seifert surfaces attach to the "
-           "standard surface: g1 <= g(J) + g(L)")
-_SUM_HI = ("first-order/subadditive",
-           "the first-order genus is subadditive under connected sum")
+# Rule id -> anchor, the one place each first-order rule is spelled.
+_ANCHORS = {
+    "first-order/twice-genus": "the first-order genus is at least twice the genus: no basis curve of a "
+                               "minimal surface bounds a disc in the complement",
+    "first-order/unknot": "the unknot has first-order genus zero",
+    "first-order/leaf-certificate": "each basis curve of the standard genus-one surface bounds a punctured torus",
+    "first-order/double-enumerator": "on the unique minimal surface of a double of a noncable knot, every "
+                                     "basis curve is a satellite of the companion: g1 >= 1 + g(companion)",
+    "first-order/double-certificate": "on the standard double surface one curve bounds a pushed-off minimal "
+                                      "surface of the companion and the other a punctured torus",
+    "first-order/satellite-enumerator": "every symplectic basis of a minimal surface consists of satellites of "
+                                        "the two companions: g1 >= g(J) + g(L)",
+    "first-order/satellite-certificate": "at zero framings the two companion Seifert surfaces attach to the "
+                                         "standard surface: g1 <= g(J) + g(L)",
+    "first-order/subadditive": "the first-order genus is subadditive under connected sum",
+}
 
 
 def first_order_genus(e: KnotExpr) -> FirstOrderResult:
@@ -193,59 +189,60 @@ def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     A guard that is not established disables its rule and becomes one of
     `NodeFacts.warnings`.  `cli.build_report` folds `step` itself.
     """
-    return fold(e, step)[1]
+    _, lo, hi = fold(e, step)
+    return first_order_result(lo, hi)
 
 
-def step(e: KnotExpr, kids: list) -> tuple[NodeFacts, FirstOrderResult]:
+def first_order_result(lo: tuple[int, str], hi: tuple[int, str] | None) -> FirstOrderResult:
+    """The root's bounds from `step`, with one provenance record each."""
+    records = [BoundRecord("lo", *lo, _ANCHORS[lo[1]])]
+    if hi is not None:
+        records.append(BoundRecord("hi", *hi, _ANCHORS[hi[1]]))
+    return FirstOrderResult(IntInterval(lo[0], None if hi is None else hi[0]), tuple(records))
+
+
+def _certified(cert: WeakGropeCertificate, facts: NodeFacts, rule: str) -> tuple[int, str]:
+    assert _check(cert, facts)
+    return cert.value, rule
+
+
+def step(e: KnotExpr, kids: list) -> tuple[NodeFacts, tuple[int, str], tuple[int, str] | None]:
     """The fold step of a report: e's facts, from one `node_facts` call,
-    and its bounds, read from those facts and its children's pairs."""
+    and its bounds lo and hi (None if unknown) as (value, rule id) pairs.
+
+    The rules exclude each other, so each bound is chosen, not searched
+    for.  A trivial node takes `first-order/unknot` for both: no guard
+    holds there, as both need companions known nontrivial, and curated
+    leaves are nontrivial.  A guarded wh0 or ksat has genus one, so its
+    enumerator, g + max(1, h) >= 2, is its lower bound; elsewhere twice
+    the genus is.  At most one rule gives an upper bound, by node type:
+    the leaf, double or satellite (m = n = 0) certificate, or
+    subadditivity on a `#` whose summands both have one.  Where values
+    tie, the unknot rule and the enumerators win: the unknot rule ties
+    only with twice the genus and subadditivity (0 and 0 + 0), an
+    enumerator only with twice the genus (at g = 1).
+    """
     facts = node_facts(e, [k[0] for k in kids])
-    lows: list[BoundRecord] = []
-    highs: list[BoundRecord] = []
-
     if facts.trivial is TriState.YES:
-        lows.append(BoundRecord("lo", 0, *_UNKNOT))
-        highs.append(BoundRecord("hi", 0, *_UNKNOT))
-
+        return facts, (0, "first-order/unknot"), (0, "first-order/unknot")
+    lo, hi = (2 * facts.genus.lo, "first-order/twice-genus"), None
     if isinstance(e, (Trefoil, Fig8)):
-        cert = WeakGropeCertificate(1, (1, 1))
-        assert _check(cert, facts)
-        highs.append(BoundRecord("hi", cert.value, *_LEAF_CERT))
-
+        hi = _certified(WeakGropeCertificate(1, (1, 1)), facts, "first-order/leaf-certificate")
     # A guard passes only on companions that are leaves flagged noncable
     # (fig8, kfam, atom), so their genus is exact and .lo is that genus.
-    if isinstance(e, Wh0) and not facts.failed:
+    elif isinstance(e, Wh0) and not facts.failed:
         g_j = kids[0][0].genus.lo
-        value, _ = min_basis_bound(g_j, 0)
-        lows.append(BoundRecord("lo", value, *_DOUBLE_LO))
-        cert = WeakGropeCertificate(1, (g_j, 1))
-        assert _check(cert, facts)
-        highs.append(BoundRecord("hi", cert.value, *_DOUBLE_HI))
-
-    if isinstance(e, Ksat) and not facts.failed:
+        lo = min_basis_bound(g_j, 0)[0], "first-order/double-enumerator"
+        hi = _certified(WeakGropeCertificate(1, (g_j, 1)), facts, "first-order/double-certificate")
+    elif isinstance(e, Ksat) and not facts.failed:
         gj, gl = kids[0][0].genus.lo, kids[1][0].genus.lo
-        value, _ = min_basis_bound(gj, gl)
-        lows.append(BoundRecord("lo", value, *_SAT_LO))
+        lo = min_basis_bound(gj, gl)[0], "first-order/satellite-enumerator"
         if e.m == 0 and e.n == 0:
-            cert = WeakGropeCertificate(1, (gj, gl))
-            assert _check(cert, facts)
-            highs.append(BoundRecord("hi", cert.value, *_SAT_HI))
-
-    if isinstance(e, Sum):
-        left, right = kids[0][1], kids[1][1]
-        if left.hi is not None and right.hi is not None:
-            highs.append(BoundRecord("hi", left.hi + right.hi, *_SUM_HI))
-
-    # The no-disc bound applies to every expression.
-    lows.append(BoundRecord("lo", 2 * facts.genus.lo, *_TWICE))
-
-    lo = max(rec.value for rec in lows)
-    lo_record = next(rec for rec in lows if rec.value == lo)
-    if highs:
-        hi = min(rec.value for rec in highs)
-        hi_record = next(rec for rec in highs if rec.value == hi)
-        if lo > hi:
-            raise AssertionError(
-                f"inconsistent first-order bounds [{lo}, {hi}]: engine rules disagree")
-        return facts, FirstOrderResult(IntInterval(lo, hi), (lo_record, hi_record))
-    return facts, FirstOrderResult(IntInterval(lo, None), (lo_record,))
+            hi = _certified(WeakGropeCertificate(1, (gj, gl)), facts,
+                            "first-order/satellite-certificate")
+    elif isinstance(e, Sum) and kids[0][2] is not None and kids[1][2] is not None:
+        hi = kids[0][2][0] + kids[1][2][0], "first-order/subadditive"
+    if hi is not None and lo[0] > hi[0]:
+        raise AssertionError(
+            f"inconsistent first-order bounds [{lo[0]}, {hi[0]}]: engine rules disagree")
+    return facts, lo, hi

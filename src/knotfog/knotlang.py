@@ -138,7 +138,7 @@ class Atom(KnotExpr):
                  cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
         if genus < 1:
             raise ValueError(f"atom genus must be >= 1, got {genus}")
-        if not _is_name(name):
+        if not (name[:1].isalpha() and all(map(_name_char, name))):  # as `_Parser.name` reads
             raise ValueError(f"invalid atom name {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "genus", genus)
@@ -157,8 +157,9 @@ class Sum(KnotExpr):
         object.__setattr__(self, "right", right)
 
 
-def _is_name(s: str) -> bool:
-    return bool(s) and s[0].isalpha() and all(c.isalnum() or c == "_" for c in s)
+def _name_char(c: str) -> bool:
+    """Whether c may follow a NAME's first letter (the first is `str.isalpha`)."""
+    return c.isalpha() or c.isdigit() or c == "_"
 
 
 # -- parser ----------------------------------------------------------------
@@ -203,7 +204,7 @@ class _Parser:
         start = self.pos
         if not self.peek().isalpha():
             raise self.error("expected a name")
-        while self.peek().isalpha() or self.peek().isdigit() or self.peek() == "_":
+        while _name_char(self.peek()):
             self.pos += 1
         return self.text[start:self.pos]
 

@@ -1,14 +1,18 @@
+import inspect
 import random
 from itertools import product
 
 import pytest
 
-from knotfog.classical import IntInterval, genus_of
+from test_golden import HAND_PICKED
+
+from knotfog import classical, firstorder
+from knotfog.classical import IntInterval, genus_of, node_facts
 from knotfog.firstorder import (BasisWitness, WeakGropeCertificate,
                                 check_certificate, first_order_genus,
-                                min_basis_bound)
+                                min_basis_bound, step)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
-                              Unknot, Wh0, parse, random_expr, validate)
+                              Unknot, Wh0, fold, parse, random_expr, validate)
 
 
 class TestCertificate:
@@ -273,3 +277,72 @@ class TestSoundness:
             fog = first_order_genus(random_expr(rng, 4))
             assert fog.lo >= 0
             assert fog.hi is None or fog.lo <= fog.hi
+
+
+def corpus() -> list:
+    """3000 seeded trees of depths 1..7, then the golden corpus's hand-picked shapes."""
+    rng = random.Random(2007)
+    return [random_expr(rng, 1 + i % 7) for i in range(3000)] + [parse(t) for t in HAND_PICKED]
+
+
+def candidate_step(e, kids):
+    """The reference selection: every rule that applies adds a (value, rule)
+    candidate, and a bound is the first candidate of best value."""
+    facts = node_facts(e, [k[0] for k in kids])
+    lows, highs = [], []
+    if facts.trivial is TriState.YES:
+        lows.append((0, "first-order/unknot"))
+        highs.append((0, "first-order/unknot"))
+    if isinstance(e, (Trefoil, Fig8)):
+        highs.append((WeakGropeCertificate(1, (1, 1)).value, "first-order/leaf-certificate"))
+    if isinstance(e, Wh0) and not facts.failed:
+        g = kids[0][0].genus.lo
+        lows.append((min_basis_bound(g, 0)[0], "first-order/double-enumerator"))
+        highs.append((WeakGropeCertificate(1, (g, 1)).value, "first-order/double-certificate"))
+    if isinstance(e, Ksat) and not facts.failed:
+        gj, gl = kids[0][0].genus.lo, kids[1][0].genus.lo
+        lows.append((min_basis_bound(gj, gl)[0], "first-order/satellite-enumerator"))
+        if e.m == 0 and e.n == 0:
+            highs.append((WeakGropeCertificate(1, (gj, gl)).value,
+                          "first-order/satellite-certificate"))
+    if isinstance(e, Sum) and kids[0][2] is not None and kids[1][2] is not None:
+        highs.append((kids[0][2][0] + kids[1][2][0], "first-order/subadditive"))
+    lows.append((2 * facts.genus.lo, "first-order/twice-genus"))
+    lo = next(c for c in lows if c[0] == max(v for v, _ in lows))
+    hi = next(c for c in highs if c[0] == min(v for v, _ in highs)) if highs else None
+    return facts, lo, hi
+
+
+class TestRuleSelection:
+    def test_step_picks_what_the_candidate_search_picks(self):
+        def both(e, kids):
+            chosen = step(e, [k[0] for k in kids])
+            searched = candidate_step(e, [k[1] for k in kids])
+            assert chosen[1:] == searched[1:], e
+            return chosen, searched
+
+        for e in corpus():
+            _, (_, lo, hi) = fold(e, both)
+            fog = first_order_genus(e)
+            assert (fog.lo, fog.hi) == (lo[0], None if hi is None else hi[0]), e
+            assert [(r.bound, r.value, r.rule) for r in fog.provenance] == \
+                [("lo", *lo)] + ([] if hi is None else [("hi", *hi)]), e
+
+
+class TestRuleTables:
+    def test_every_rule_emitted_has_its_anchor_and_every_anchor_is_emitted(self):
+        for engine, records in ((firstorder, lambda e: first_order_genus(e).provenance),
+                                (classical, lambda e: classical.facts_of(e).provenance)):
+            emitted = set()
+            for e in corpus():
+                for record in records(e):
+                    assert record.anchor == engine._ANCHORS[record.rule]
+                    emitted.add(record.rule)
+            assert emitted == set(engine._ANCHORS), engine.__name__
+
+    def test_no_anchor_is_spelled_twice(self):
+        anchors = [*classical._ANCHORS.values(), *firstorder._ANCHORS.values()]
+        assert len(set(anchors)) == len(anchors)
+        source = inspect.getsource(classical) + inspect.getsource(firstorder)
+        for anchor in anchors:  # each split line holds more than its first 40 characters
+            assert source.count(anchor[:40]) == 1, anchor

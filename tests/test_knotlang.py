@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knotfog import classical, cli, firstorder
 from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, Ksat, ParseError, Sum,
@@ -168,6 +170,13 @@ class TestOneFoldPerReport:
         assert count_calls(fold.__code__, lambda: cli.build_report(text)) == 1
         assert count_calls(classical.node_facts.__code__, lambda: cli.build_report(text)) == nodes
 
+    def test_report_builds_records_only_at_the_root(self):
+        # the fold carries (value, rule id) pairs; one result, one record per bound
+        text = render(chain(2000))
+        report = lambda: cli.build_report(text)
+        assert count_calls(firstorder.FirstOrderResult.__new__.__code__, report) == 1
+        assert count_calls(firstorder.BoundRecord.__new__.__code__, report) <= 2
+
     def test_report_matches_the_separate_readers(self):
         rng = random.Random(6006)
         for i in range(1000):
@@ -236,6 +245,27 @@ class TestNodeConstraints:
     def test_atom_requires_valid_name(self):
         with pytest.raises(ValueError):
             Atom("2bad", 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(max_size=6)
+           | st.text(st.characters(categories=("L", "N", "Pc", "Zs")), min_size=1, max_size=6))
+    @example("A½")  # numeric, so str.isalnum, but not a digit the parser reads
+    @example("A²")
+    @example("x_1")
+    @example("_x")
+    def test_atom_name_is_what_the_parser_reads(self, name):
+        try:
+            parsed = parse(f"atom({name}, genus=1)")
+        except ParseError:
+            parsed = None
+        reads = isinstance(parsed, Atom) and parsed.name == name
+        try:
+            atom = Atom(name, 1)
+        except ValueError:
+            assert not reads
+            return
+        assert reads
+        assert parse(render(atom)) == atom == parsed
 
     def test_clasp_sign_checked(self):
         with pytest.raises(ValueError):
