@@ -129,17 +129,22 @@ class NodeFacts(NamedTuple):
     def warnings(self) -> list[str]:
         """A warning per closed-form guard failing in the subtree, pre-order."""
         warnings: list[str] = []
+        texts: dict[int, str] = {}  # each named subtree rendered once
         stack = [self]
         while stack:
             facts = stack.pop()
-            warnings.extend(message + render(sub) for message, sub in facts.failed)
+            for message, sub in facts.failed:
+                text = texts.get(id(sub))
+                if text is None:
+                    text = texts[id(sub)] = render(sub)
+                warnings.append(message + text)
             stack.extend(reversed(facts.warned))
         return warnings
 
 
 def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
-    """The fold step of the facts engine, run once per node by
-    `firstorder.step`.  Every closed-form guard is evaluated here only;
+    """The fold step of the facts engine, run once per distinct subtree
+    by `firstorder.step`.  Every closed-form guard is evaluated here only;
     the first-order bounds and `NodeFacts.warnings` read `failed`."""
     torus, cable, slice_ = builtin_flags(e)  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []

@@ -5,7 +5,9 @@
     knotfog selftest                     run the acceptance criteria
 
 Exit codes: 0 success, 1 self-test failure, 2 usage or parse error, or
-an answer with an integer too long for the interpreter to print.
+an answer with an integer too long for the interpreter to print, 141
+(128 + SIGPIPE, as a shell reports a process the signal ended) when the
+reader closes stdout early, with nothing on stderr.
 Data output is byte-identical across runs; timing diagnostics go to
 stderr only.
 """
@@ -13,6 +15,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import NamedTuple
 
@@ -154,7 +157,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:  # console-script wrapper
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # e.g. `knotfog invariants ... | head -1`
+        # the interpreter flushes stdout once more on exit; let it reach nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -178,6 +178,18 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.nodes: dict[tuple, KnotExpr] = {}
+
+    def node(self, cls: type, *fields) -> KnotExpr:
+        """The one node of class cls with these fields in this parse, so
+        that equal subtrees are one object.  A child field is keyed by
+        id, as it is already the one node of its value; keying by value
+        would hash the whole subtree at every node."""
+        key = (cls, *[id(f) if isinstance(f, KnotExpr) else f for f in fields])
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
 
     def error(self, message: str, pos: int | None = None) -> "ParseError":
         return ParseError(message, self.pos if pos is None else pos)
@@ -253,7 +265,7 @@ class _Parser:
         node = self.parse_term()
         while self.at("#"):
             self.pos += 1
-            node = Sum(node, self.parse_term())
+            node = self.node(Sum, node, self.parse_term())
         return node
 
     def descend(self, start: int) -> None:
@@ -274,11 +286,11 @@ class _Parser:
             return node
         head = self.name()
         if head == "unknot":
-            return Unknot()
+            return self.node(Unknot)
         if head == "trefoil":
-            return Trefoil()
+            return self.node(Trefoil)
         if head == "fig8":
-            return Fig8()
+            return self.node(Fig8)
         if head == "kfam":
             return self._parse_kfam(start)
         if head in ("wh0", "ksat"):
@@ -296,7 +308,7 @@ class _Parser:
         n = self.integer(len(str(KFAM_MAX)), f"kfam requires 1 <= n <= {KFAM_MAX}")
         self.expect(")")
         try:
-            return Kfam(n)
+            return self.node(Kfam, n)
         except ValueError as exc:  # the node's own range check, positioned
             raise self.error(str(exc), at_n) from None
 
@@ -313,7 +325,7 @@ class _Parser:
             clasp = self.peek()
             self.pos += 1
         self.expect(")")
-        return Wh0(companion, clasp)
+        return self.node(Wh0, companion, clasp)
 
     def _parse_ksat(self) -> Ksat:
         self.expect("(")
@@ -325,7 +337,7 @@ class _Parser:
         self.expect(",")
         n = self.integer()
         self.expect(")")
-        return Ksat(j, l, m, n)
+        return self.node(Ksat, j, l, m, n)
 
     def _parse_atom(self, start: int) -> Atom:
         self.expect("(")
@@ -348,14 +360,14 @@ class _Parser:
             self.expect("=")
             flags[flag] = self.tri()
         self.expect(")")
-        return Atom(name, genus,
-                    torus=flags.get("torus", TriState.UNKNOWN),
-                    cable=flags.get("cable", TriState.UNKNOWN),
-                    slice=flags.get("slice", TriState.UNKNOWN))
+        unknown = TriState.UNKNOWN
+        return self.node(Atom, name, genus, flags.get("torus", unknown),
+                         flags.get("cable", unknown), flags.get("slice", unknown))
 
 
 def parse(text: str) -> KnotExpr:
-    """Parse the grammar above; raises ParseError with a position on failure."""
+    """Parse the grammar above; raises ParseError with a position on failure.
+    Equal subtrees of the result are one object."""
     p = _Parser(text)
     node = p.parse_expr()
     p.skip_ws()
@@ -379,22 +391,25 @@ def children(e: KnotExpr) -> tuple[KnotExpr, ...]:
 
 
 def fold(e: KnotExpr, step):
-    """step(node, child values in text order) once per node, children
-    first; returns the root's value.  An explicit stack replaces
-    recursion, so no depth reaches the interpreter's recursion limit."""
-    values: list = []
+    """step(node, child values in text order) once per distinct subtree,
+    children first; returns the root's value.  A subtree is distinct by
+    identity: `parse` makes equal subtrees one object, and a subtree met
+    again reuses its value.  An explicit stack replaces recursion, so no
+    depth reaches the interpreter's recursion limit."""
+    done: dict[int, object] = {}
     stack: list = [(e, None)]
     while stack:
         node, kids = stack.pop()
         if kids is None:
+            if id(node) in done:
+                continue
             kids = children(node)
             if kids:
                 stack.append((node, kids))
                 stack.extend((kid, None) for kid in reversed(kids))
                 continue
-        split = len(values) - len(kids)
-        values[split:] = [step(node, values[split:])]
-    return values[0]
+        done[id(node)] = step(node, [done[id(kid)] for kid in kids])
+    return done[id(e)]
 
 
 def render(e: KnotExpr) -> str:

@@ -95,18 +95,39 @@ class TestInvariants:
         assert str(report.facts.alexander) == "1"
 
 
+def python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this knotfog."""
+    src = str(Path(knotfog.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this knotfog."""
-    src = str(Path(knotfog.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=python_env(), timeout=60)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     return run_python("-m", "knotfog.cli", *args)
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_141_in_silence(self):
+        # about 290 KB of report, more than a 64 KiB pipe buffer holds,
+        # so the CLI is still writing when the reader goes away
+        proc = subprocess.Popen([sys.executable, "-m", "knotfog.cli", "invariants", "kfam(300)"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env())
+        try:
+            assert proc.stdout.read(1) == b"e"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
 
 class TestDecimalDigits:

@@ -101,6 +101,18 @@ def chain(n: int):
     return e
 
 
+def subtrees(e) -> list:
+    """Every distinct node object of e, by a walk of its own: what a fold
+    of e steps on."""
+    seen, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(children(node))
+    return list(seen.values())
+
+
 def count_calls(code, call) -> int:
     """How many times the function with this code object runs during call()."""
     count = 0
@@ -150,12 +162,15 @@ class TestFold:
         assert classical.facts_of(right).genus == classical.IntInterval.point(depth + 1)
 
     def test_engines_run_one_step_per_node(self):
-        # an n-term chain has 2n - 1 nodes; each engine visits each once
+        # an n-term chain has 2n - 1 node occurrences but n - 1 sums over
+        # three leaf objects; each engine steps once per distinct object
         n = 2000
         e = chain(n)
-        assert count_calls(classical.node_facts.__code__, lambda: classical.facts_of(e)) == 2 * n - 1
-        assert count_calls(firstorder.step.__code__, lambda: firstorder.first_order_genus(e)) == 2 * n - 1
-        assert count_calls(classical.node_facts.__code__, lambda: validate(e)) == 2 * n - 1
+        distinct = len(subtrees(e))
+        assert distinct == (n - 1) + 3
+        assert count_calls(classical.node_facts.__code__, lambda: classical.facts_of(e)) == distinct
+        assert count_calls(firstorder.step.__code__, lambda: firstorder.first_order_genus(e)) == distinct
+        assert count_calls(classical.node_facts.__code__, lambda: validate(e)) == distinct
 
 
 class TestOneFoldPerReport:
@@ -165,8 +180,9 @@ class TestOneFoldPerReport:
               " # ksat(wh0(fig8), ksat(fig8, atom(A, genus=2, torus=no, cable=no), 0, 0), 1, 0)"),
     ], ids=["chain", "certified-and-nested"])
     def test_report_folds_once_with_one_facts_step_per_node(self, e):
-        nodes = fold(e, lambda node, kids: 1 + sum(kids))
+        # one step per distinct subtree of the parse, where equal subtrees are one object
         text = render(e)
+        nodes = len(subtrees(parse(text)))
         assert count_calls(fold.__code__, lambda: cli.build_report(text)) == 1
         assert count_calls(classical.node_facts.__code__, lambda: cli.build_report(text)) == nodes
 
@@ -185,6 +201,109 @@ class TestOneFoldPerReport:
             assert report.facts == classical.facts_of(e)
             assert report.fog == firstorder.first_order_genus(e)
             assert report.warnings == tuple(validate(e))
+
+
+def fold_per_occurrence(e, step):
+    """The fold before shared subtrees: step once per node occurrence,
+    children first.  The oracle of TestSharedFold."""
+    values: list = []
+    stack: list = [(e, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend((kid, None) for kid in reversed(kids))
+                continue
+        split = len(values) - len(kids)
+        values[split:] = [step(node, values[split:])]
+    return values[0]
+
+
+ATOM = "atom(A, genus=2, torus=no, cable=no, slice=unknown)"
+
+
+class TestSharing:
+    def test_equal_subtrees_parse_to_one_object(self):
+        e = parse("ksat(fig8, fig8, 0, 0)")
+        assert e.j is e.l
+        e = parse("wh0(trefoil # kfam(2)) # wh0(trefoil # kfam(2))")
+        assert e.left is e.right
+        e = parse(f"ksat({ATOM} # fig8, (fig8), 1, -1) # {ATOM}")
+        assert e.left.j.left is e.right and e.left.j.right is e.left.l
+
+    @pytest.mark.parametrize("a, b", [
+        ("wh0(fig8, clasp=+)", "wh0(fig8, clasp=-)"),
+        ("ksat(fig8, fig8, 0, 1)", "ksat(fig8, fig8, 1, 0)"),
+        ("ksat(fig8, fig8, 0, 1)", "ksat(fig8, fig8, 0, -1)"),
+        ("kfam(2)", "kfam(3)"),
+        ("trefoil", "fig8"),
+        ("trefoil # fig8", "fig8 # trefoil"),
+        (ATOM, ATOM.replace("A,", "B,")),
+        (ATOM, ATOM.replace("genus=2", "genus=3")),
+        (ATOM, ATOM.replace("torus=no", "torus=yes")),
+        (ATOM, ATOM.replace("cable=no", "cable=unknown")),
+        (ATOM, ATOM.replace("slice=unknown", "slice=no")),
+    ])
+    def test_unequal_values_are_never_merged(self, a, b):
+        e = parse(f"ksat({a}, {b}, 0, 0)")
+        assert e.j is not e.l
+        assert e.j == parse(a) != parse(b) == e.l
+        assert parse(render(e)) == e
+
+    def test_parse_shares_maximally(self):
+        # no two distinct objects of a parse are equal values
+        rng = random.Random(1010)
+        for _ in range(300):
+            e = random_expr(rng, max_depth=5)
+            e = Sum(Ksat(e, Wh0(e), 0, 0), e)
+            parsed = parse(render(e))
+            assert parsed == e
+            nodes = subtrees(parsed)
+            assert len(set(nodes)) == len(nodes)
+
+    def test_doubling_report_steps_and_renders_once_per_distinct_subtree(self):
+        d, e = 10, Fig8()
+        for _ in range(d):
+            e = Ksat(e, e, 0, 0)
+        text = render(e)
+        report = lambda: cli.build_report(text)
+        assert count_calls(classical.node_facts.__code__, report) == d + 1
+        # levels 2..d each name the level below twice: d - 1 distinct subtrees,
+        # plus the report's own expression
+        assert count_calls(render.__code__, report) <= (d - 1) + 1
+        assert len(report().warnings) == 2 ** d - 2
+
+
+class TestSharedFold:
+    """Differential test of the shared fold against the per-occurrence one."""
+
+    def shared_trees(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for i in range(count):
+            e = random_expr(rng, max_depth=1 + i % 5)
+            for _ in range(rng.randint(1, 4)):
+                layer = rng.randrange(4)
+                e = (Ksat(e, e, 0, 0) if layer == 0 else Wh0(e, rng.choice("+-")) if layer == 1
+                     else Sum(e, e) if layer == 2 else Sum(random_expr(rng, 3), e))
+            yield e
+
+    def test_fold_matches_the_per_occurrence_oracle(self):
+        for e in self.shared_trees(2024, 600):
+            want = fold_per_occurrence(e, firstorder.step)
+            for tree in (e, parse(render(e))):
+                got = fold(tree, firstorder.step)
+                assert got == want
+                assert got[0].warnings() == want[0].warnings()
+
+    def test_post_order_visits_each_distinct_subtree_once(self):
+        for e in self.shared_trees(99, 200):
+            visited, seen = [], []
+            fold(e, lambda node, kids: visited.append(node))
+            fold_per_occurrence(e, lambda node, kids: seen.append(node))
+            first = {id(node): node for node in seen}  # insertion order: first occurrence
+            assert [id(n) for n in visited] == list(first)
 
 
 class TestRender:
