@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import seifert
 from .frozen import Frozen
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
                        Unknot, Wh0, builtin_flags, fold, render)
@@ -83,12 +82,18 @@ class KnotFacts(NamedTuple):
         }
 
 
-# Seifert matrices of the two curated leaves.
-TREFOIL_MATRIX = seifert.SeifertMatrix(((-1, 1), (0, -1)))
-FIG8_MATRIX = seifert.SeifertMatrix(((1, 1), (0, -1)))
+def genus_one_alexander(k: int) -> LaurentPoly:
+    """k t^2 - (2k - 1) t + k, the factor of every `#`-spine leaf.  For the
+    genus-one Seifert matrix V = [[m, 1], [0, n]] and k = mn, det(V - t V^T)
+    = det [[m - mt, 1], [-t, n - nt]] = mn (1 - t)^2 + t, which is this.
+    The trefoil's V has m = n = -1 (k = 1), the figure-eight's m = 1 and
+    n = -1 (k = -1), ksat(_, _, m, n)'s twist model k = mn, and the first
+    pretzel-family knot k = -2 (PRETZEL_BASE)."""
+    return LaurentPoly(0, (k, 1 - 2 * k, k))
+
 
 # -2t^2 + 5t - 2: the Alexander polynomial of the first pretzel-family knot.
-PRETZEL_BASE = LaurentPoly(0, (-2, 5, -2))
+PRETZEL_BASE = genus_one_alexander(-2)
 
 
 def schubert_bound(winding: int, g_companion: int, g_pattern: int) -> int:
@@ -235,16 +240,16 @@ def alexander_of(e: KnotExpr) -> LaurentPoly | None:
         if isinstance(node, (Unknot, Wh0)):
             continue  # trivial polynomial
         elif isinstance(node, Trefoil):
-            product *= seifert.alexander_polynomial(TREFOIL_MATRIX)
+            factor = genus_one_alexander(1)
         elif isinstance(node, Fig8):
-            product *= seifert.alexander_polynomial(FIG8_MATRIX)
+            factor = genus_one_alexander(-1)
         elif isinstance(node, Kfam):
-            product *= PRETZEL_BASE ** node.n
+            factor = PRETZEL_BASE ** node.n
         elif isinstance(node, Ksat):
-            product *= seifert.alexander_polynomial(seifert.SeifertMatrix(((node.m, 1), (0, node.n))))
+            factor = genus_one_alexander(node.m * node.n)
         else:
             raise TypeError(f"not a KnotExpr: {node!r}")
-        product = product.canonical()
+        product = (product * factor).canonical()
     return product
 
 

@@ -18,7 +18,7 @@ Grammar (whitespace insignificant, `#` binds loosest and associates left):
 INT_DIGITS_MAX digits (sign and leading zeros not counted); a literal
 outside these limits, however many digits it has, is a positioned
 ParseError.  So is an opener "(", "wh0(" or "ksat(" nested inside
-DEPTH_MAX others.
+DEPTH_MAX others: a policy limit, as `parse` does not recurse.
 
 The named flags of `atom` may appear in any order, each at most once;
 `render` always prints them in the order torus, cable, slice and prints
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 
 from .frozen import Frozen
 
@@ -46,11 +47,10 @@ KFAM_MAX = 4096
 # digits.  Both render below CPython's 4300-digit int-to-str limit.
 INT_DIGITS_MAX = 1000
 
-# Most openers "(", "wh0(" and "ksat(" open at once.  The parser recurses
-# through parse_expr, parse_term and _parse_wh0/_parse_ksat, 3 frames per
-# level, so 200 levels take about 600 frames; with the CLI's and pytest's
-# own stacks (under 100 frames) that stays below CPython's default
-# recursion limit of 1000.  Every engine walks the tree with `fold`.
+# Most openers "(", "wh0(" and "ksat(" open at once: a policy limit on
+# the input, not a count of interpreter frames.  `parse` keeps the open
+# constructs on a stack of its own, and the engines walk the tree with
+# `fold`, so neither recurses.
 DEPTH_MAX = 200
 
 
@@ -138,7 +138,7 @@ class Atom(KnotExpr):
                  cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
         if genus < 1:
             raise ValueError(f"atom genus must be >= 1, got {genus}")
-        if not (name[:1].isalpha() and all(map(_name_char, name))):  # as `_Parser.name` reads
+        if not (name[:1].isalpha() and _tokens(name) == [name, ""]):  # a NAME, as `parse` reads it
             raise ValueError(f"invalid atom name {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "genus", genus)
@@ -157,12 +157,35 @@ class Sum(KnotExpr):
         object.__setattr__(self, "right", right)
 
 
-def _name_char(c: str) -> bool:
-    """Whether c may follow a NAME's first letter (the first is `str.isalpha`)."""
-    return c.isalpha() or c.isdigit() or c == "_"
-
-
 # -- parser ----------------------------------------------------------------
+
+
+# One token per match: an INT with its sign, a run of word characters, or
+# any other single character; whitespace only separates tokens.  `\d` is
+# `str.isdecimal` (the digits int() reads) and `\s` is `str.isspace`.
+_TOKEN = re.compile(r"-?\d+|\w+|\S")
+_SPACE = re.compile(r"\s*")
+
+_LEAVES = {"unknot": Unknot, "trefoil": Trefoil, "fig8": Fig8}
+
+
+def _tokens(text: str) -> list[str]:
+    r"""The tokens of text, then "" for its end.  `\w` also matches numerals
+    such as ½ and Ⅷ, which are neither letters nor digits and so end a
+    NAME: a word that starts with a letter is cut before the first."""
+    tokens = _TOKEN.findall(text)
+    if not text.isascii():
+        tokens = [part for token in tokens for part in _cut(token)]
+    tokens.append("")
+    return tokens
+
+
+def _cut(token: str) -> tuple[str, ...]:
+    if token[:1].isalpha():
+        for k, c in enumerate(token):
+            if not (c.isalpha() or c.isdigit() or c == "_"):
+                return token[:k], token[k:]
+    return (token,)
 
 
 class ParseError(ValueError):
@@ -174,10 +197,11 @@ class ParseError(ValueError):
 
 
 class _Parser:
+    """The tokens of one text, read by index, and the nodes built from them."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.depth = 0
+        self.tokens = _tokens(text)
         self.nodes: dict[tuple, KnotExpr] = {}
 
     def node(self, cls: type, *fields) -> KnotExpr:
@@ -191,189 +215,154 @@ class _Parser:
             node = self.nodes[key] = cls(*fields)
         return node
 
-    def error(self, message: str, pos: int | None = None) -> "ParseError":
-        return ParseError(message, self.pos if pos is None else pos)
+    def error(self, message: str, i: int, before_space: bool = False) -> ParseError:
+        """A ParseError at token i, or where the token before it ends.  Only
+        errors need positions, so they scan the text again."""
+        text, pos = self.text, 0
+        for token in self.tokens[:i]:
+            pos = _SPACE.match(text, pos).end() + len(token)
+        return ParseError(message, pos if before_space else _SPACE.match(text, pos).end())
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def expect(self, token: str, i: int) -> int:
+        """The index after token i, which must be `token`."""
+        if self.tokens[i] != token:
+            raise self.error(f"expected {token!r}", i)
+        return i + 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def word(self, i: int, words: tuple[str, ...] = (), message: str = "") -> str:
+        """The NAME at token i, and one of `words` if they are given; else a
+        ParseError saying `message` with the name, before the whitespace."""
+        word = self.tokens[i]
+        if not word[:1].isalpha():
+            raise self.error("expected a name", i)
+        if words and word not in words:
+            raise self.error(message.format(word), i, before_space=True)
+        return word
 
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def at(self, ch: str) -> bool:
-        self.skip_ws()
-        return self.peek() == ch
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if not self.peek().isalpha():
-            raise self.error("expected a name")
-        while _name_char(self.peek()):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def integer(self, max_digits: int = INT_DIGITS_MAX,
+    def integer(self, i: int, max_digits: int = INT_DIGITS_MAX,
                 limit: str = f"integers have at most {INT_DIGITS_MAX} digits") -> int:
-        """The next INT.  One of more than max_digits digits, sign and
+        """The INT at token i.  One of more than max_digits digits, sign and
         leading zeros (of any decimal script) not counted, is a ParseError
-        at its start saying `limit`; it is measured before int(), which
-        refuses literals of over 4300 digits."""
-        at = self.pos
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not self.peek().isdecimal():  # exactly the digits int() reads
-            raise self.error("expected an integer", start)
-        while self.peek().isdecimal():
-            self.pos += 1
-        literal = self.text[start:self.pos]
+        before the whitespace saying `limit`; it is measured before int(),
+        which refuses literals of over 4300 digits."""
+        literal = self.tokens[i]
         digits = literal.lstrip("-")
+        if not digits.isdecimal():
+            raise self.error("expected an integer", i)
         lead = 0
-        while lead < len(digits) - 1 and int(digits[lead]) == 0:  # a zero of any script
+        while len(digits) - lead > max_digits and int(digits[lead]) == 0:  # a zero of any script
             lead += 1
-        magnitude = digits[lead:]
-        if len(magnitude) > max_digits:
-            raise self.error(f"{limit}, got a {len(magnitude)}-digit integer", at)
-        return -int(magnitude) if literal.startswith("-") else int(magnitude)
+        if len(digits) - lead > max_digits:
+            raise self.error(f"{limit}, got a {len(digits) - lead}-digit integer", i,
+                             before_space=True)
+        return -int(digits[lead:]) if literal[0] == "-" else int(digits[lead:])
 
-    def tri(self) -> TriState:
-        start = self.pos
-        word = self.name()
-        try:
-            return TriState(word)
-        except ValueError:
-            raise self.error(f"expected yes/no/unknown, got {word!r}", start) from None
-
-    def keyword_value(self, keyword: str):
-        # "<keyword> =" already positioned after the comma
-        start = self.pos
-        word = self.name()
-        if word != keyword:
-            raise self.error(f"expected {keyword!r}, got {word!r}", start)
-        self.expect("=")
-
-    def parse_expr(self) -> KnotExpr:
-        node = self.parse_term()
-        while self.at("#"):
-            self.pos += 1
-            node = self.node(Sum, node, self.parse_term())
-        return node
-
-    def descend(self, start: int) -> None:
-        """Enter the opener at `start`; the caller leaves it with depth -= 1."""
-        self.depth += 1
-        if self.depth > DEPTH_MAX:
-            raise self.error(f"nesting is limited to {DEPTH_MAX} levels", start)
-
-    def parse_term(self) -> KnotExpr:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "(":
-            self.descend(start)
-            self.pos += 1
-            node = self.parse_expr()
-            self.expect(")")
-            self.depth -= 1
-            return node
-        head = self.name()
-        if head == "unknot":
-            return self.node(Unknot)
-        if head == "trefoil":
-            return self.node(Trefoil)
-        if head == "fig8":
-            return self.node(Fig8)
+    def flat(self, i: int) -> tuple[KnotExpr, int]:
+        """The leaf, kfam or atom term at token i, and the index after it."""
+        head = self.tokens[i]
+        leaf = _LEAVES.get(head)
+        if leaf is not None:
+            return self.node(leaf), i + 1
         if head == "kfam":
-            return self._parse_kfam(start)
-        if head in ("wh0", "ksat"):
-            self.descend(start)
-            node = self._parse_wh0() if head == "wh0" else self._parse_ksat()
-            self.depth -= 1
-            return node
+            return self.kfam(i + 1)
         if head == "atom":
-            return self._parse_atom(start)
-        raise self.error(f"unknown knot constructor {head!r}", start)
+            return self.atom(i + 1)
+        raise self.error(f"unknown knot constructor {self.word(i)!r}", i)
 
-    def _parse_kfam(self, start: int) -> Kfam:
-        self.expect("(")
-        at_n = self.pos
-        n = self.integer(len(str(KFAM_MAX)), f"kfam requires 1 <= n <= {KFAM_MAX}")
-        self.expect(")")
+    def kfam(self, i: int) -> tuple[Kfam, int]:
+        n = self.integer(self.expect("(", i), len(str(KFAM_MAX)), f"kfam requires 1 <= n <= {KFAM_MAX}")
+        end = self.expect(")", i + 2)
         try:
-            return self.node(Kfam, n)
+            return self.node(Kfam, n), end
         except ValueError as exc:  # the node's own range check, positioned
-            raise self.error(str(exc), at_n) from None
+            raise self.error(str(exc), i + 1, before_space=True) from None
 
-    def _parse_wh0(self) -> Wh0:
-        self.expect("(")
-        companion = self.parse_expr()
-        clasp = "+"
-        if self.at(","):
-            self.pos += 1
-            self.keyword_value("clasp")
-            self.skip_ws()
-            if self.peek() not in ("+", "-"):
-                raise self.error("expected '+' or '-' for clasp")
-            clasp = self.peek()
-            self.pos += 1
-        self.expect(")")
-        return self.node(Wh0, companion, clasp)
-
-    def _parse_ksat(self) -> Ksat:
-        self.expect("(")
-        j = self.parse_expr()
-        self.expect(",")
-        l = self.parse_expr()
-        self.expect(",")
-        m = self.integer()
-        self.expect(",")
-        n = self.integer()
-        self.expect(")")
-        return self.node(Ksat, j, l, m, n)
-
-    def _parse_atom(self, start: int) -> Atom:
-        self.expect("(")
-        name = self.name()
-        self.expect(",")
-        self.keyword_value("genus")
-        at_genus = self.pos
-        genus = self.integer()
+    def atom(self, i: int) -> tuple[Atom, int]:
+        name = self.word(self.expect("(", i))
+        self.word(self.expect(",", i + 2), ("genus",), "expected 'genus', got {!r}")
+        genus = self.integer(self.expect("=", i + 4))
         if genus < 1:
-            raise self.error(f"atom genus must be >= 1, got {genus}", at_genus)
+            raise self.error(f"atom genus must be >= 1, got {genus}", i + 5, before_space=True)
+        i += 6
         flags: dict[str, TriState] = {}
-        while self.at(","):
-            self.pos += 1
-            at_flag = self.pos
-            flag = self.name()
-            if flag not in ("torus", "cable", "slice"):
-                raise self.error(f"unknown atom flag {flag!r}", at_flag)
+        while self.tokens[i] == ",":
+            flag = self.word(i + 1, ("torus", "cable", "slice"), "unknown atom flag {!r}")
             if flag in flags:
-                raise self.error(f"duplicate atom flag {flag!r}", at_flag)
-            self.expect("=")
-            flags[flag] = self.tri()
-        self.expect(")")
+                raise self.error(f"duplicate atom flag {flag!r}", i + 1, before_space=True)
+            flags[flag] = TriState(self.word(self.expect("=", i + 2), ("yes", "no", "unknown"),
+                                             "expected yes/no/unknown, got {!r}"))
+            i += 4
         unknown = TriState.UNKNOWN
-        return self.node(Atom, name, genus, flags.get("torus", unknown),
-                         flags.get("cable", unknown), flags.get("slice", unknown))
+        return self.node(Atom, name, genus, flags.get("torus", unknown), flags.get("cable", unknown),
+                         flags.get("slice", unknown)), self.expect(")", i)
+
+    def wh0(self, companion: KnotExpr, i: int) -> tuple[Wh0, int]:
+        """Close "wh0(" companion at token i: [", clasp =" sign] ")"."""
+        clasp = "+"
+        if self.tokens[i] == ",":
+            self.word(i + 1, ("clasp",), "expected 'clasp', got {!r}")
+            clasp = self.tokens[self.expect("=", i + 2)]
+            if clasp not in ("+", "-"):
+                if clasp[:1] == "-":  # a signed INT: "-" is the clasp, and ")" is not its digits
+                    self.tokens[i + 3:i + 4] = "-", clasp[1:]
+                    raise self.error("expected ')'", i + 4)
+                raise self.error("expected '+' or '-' for clasp", i + 3)
+            i += 4
+        return self.node(Wh0, companion, clasp), self.expect(")", i)
+
+    def ksat(self, j: KnotExpr, l: KnotExpr, i: int) -> tuple[Ksat, int]:
+        """Close "ksat(" j "," l at token i: "," INT "," INT ")"."""
+        m = self.integer(self.expect(",", i))
+        n = self.integer(self.expect(",", i + 2))
+        return self.node(Ksat, j, l, m, n), self.expect(")", i + 4)
 
 
 def parse(text: str) -> KnotExpr:
     """Parse the grammar above; raises ParseError with a position on failure.
-    Equal subtrees of the result are one object."""
+    Equal subtrees of the result are one object.
+
+    One loop reads the terms, with no recursion.  Each open "(", "wh0("
+    or "ksat(" is a frame on an explicit stack: [head, ksat's first
+    operand once read, the `#` chain so far].  A term that ends joins its
+    frame's chain; unless "#" follows, the chain is the frame's operand,
+    and a closed frame is a term that ends in the frame below."""
     p = _Parser(text)
-    node = p.parse_expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error("unexpected trailing input")
-    return node
+    tokens, node = p.tokens, p.node
+    stack: list[list] = [["", None, None]]
+    i = 0
+    while True:
+        head = tokens[i]
+        if head in ("(", "wh0", "ksat"):
+            if len(stack) > DEPTH_MAX:
+                raise p.error(f"nesting is limited to {DEPTH_MAX} levels", i)
+            i = i + 1 if head == "(" else p.expect("(", i + 1)
+            stack.append([head, None, None])
+            continue
+        term, i = p.flat(i)
+        while True:
+            frame = stack[-1]
+            if frame[2] is not None:
+                term = node(Sum, frame[2], term)
+            if tokens[i] == "#":
+                frame[2] = term
+                i += 1
+                break
+            head = frame[0]
+            if head == "ksat" and frame[1] is None:
+                frame[1], frame[2] = term, None
+                i = p.expect(",", i)
+                break
+            if head == "(":
+                i = p.expect(")", i)
+            elif head == "wh0":
+                term, i = p.wh0(term, i)
+            elif head == "ksat":
+                term, i = p.ksat(frame[1], term, i)
+            elif tokens[i]:
+                raise p.error("unexpected trailing input", i)
+            else:
+                return term
+            stack.pop()
 
 
 # -- traversal and serializer ------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each criterion is an independent check with its own oracle where one is
 called for: the pretzel determinants are compared against the closed
-power form, the closed-form basis bound against a vectorized exhaustive
-search over all unimodular 4-tuples, the parser against a serializer
+power form, the closed-form basis bound against an exhaustive search
+over all unimodular 4-tuples in a box, the parser against a serializer
 round-trip, and the interval engines against their defining
 inequalities on large seeded samples.  Checks are deterministic: all
 randomness is seeded here.
@@ -99,18 +99,18 @@ def subadditivity() -> str:
 
 
 def _brute_force_min(g_alpha: int, g_beta: int, radius: int = 10) -> int:
-    # Vectorized exhaustive search over ALL unimodular 4-tuples in the box;
-    # deliberately shares no code with firstorder's closed form.
-    import numpy as np
+    # Exhaustive search over ALL unimodular 4-tuples p*s - q*r = 1 in the
+    # box; deliberately shares no code with firstorder's closed form.
+    side = range(-radius, radius + 1)
 
-    side = np.arange(-radius, radius + 1)
-    p, q, r, s = np.meshgrid(side, side, side, side, indexing="ij", sparse=True)
-    unimodular = p * s - q * r == 1
-    one = np.int64(1)
-    term_x = np.maximum(one, np.maximum(np.abs(p) * g_alpha, np.abs(q) * g_beta))
-    term_y = np.maximum(one, np.maximum(np.abs(r) * g_alpha, np.abs(s) * g_beta))
-    values = np.broadcast_to(term_x + term_y, unimodular.shape)
-    return int(values[unimodular].min())
+    def fitting(p: int, q: int, r: int):  # every s in the box with p*s - q*r = 1
+        if p == 0:
+            return side if q * r == -1 else ()
+        s, rest = divmod(1 + q * r, p)
+        return (s,) if rest == 0 and -radius <= s <= radius else ()
+
+    return min(max(1, abs(p) * g_alpha, abs(q) * g_beta) + max(1, abs(r) * g_alpha, abs(s) * g_beta)
+               for p in side for q in side for r in side for s in fitting(p, q, r))
 
 
 def basis_enumerator_closed_forms() -> str:
@@ -203,7 +203,9 @@ def exact_point_values() -> str:
     return "trefoil [2,2], fig8 [2,2], double satellite [3,3], unknot [0,0]"
 
 
-_FUZZ_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 ()#,=+-_"
+# ½ and Ⅷ are numerals but neither letters nor digits, ² is a digit but
+# not decimal, ١ is a decimal digit of another script, and U+3000 is space.
+_FUZZ_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 ()#,=+-_½²١Ⅷ\u3000"
 
 
 def parser_round_trip() -> str:

@@ -4,13 +4,13 @@ import sys
 import pytest
 
 from knotfog.classical import (IntInterval, PRETZEL_BASE, alexander_of,
-                               class_r_of, facts_of, genus_of,
+                               class_r_of, facts_of, genus_of, genus_one_alexander,
                                satellite_of_first, schubert_bound, slice_of,
                                trivial_of)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0, parse, random_expr)
 from knotfog.laurent import LaurentPoly, ONE, unit_equivalent
-from knotfog.seifert import alexander_polynomial, theta
+from knotfog.seifert import SeifertMatrix, alexander_polynomial, theta
 
 YES, NO, UNKNOWN = TriState.YES, TriState.NO, TriState.UNKNOWN
 
@@ -178,6 +178,19 @@ class TestAlexander:
         assert alexander_of(Trefoil()) == LaurentPoly(0, (1, -1, 1))
         assert alexander_of(Fig8()) == LaurentPoly(0, (1, -3, 1))
         assert alexander_of(Unknot()) == ONE
+
+    @pytest.mark.parametrize("m", range(-4, 5))
+    def test_genus_one_closed_form_is_the_seifert_determinant(self, m):
+        for n in range(-4, 5):
+            seifert = alexander_polynomial(SeifertMatrix(((m, 1), (0, n))))
+            assert genus_one_alexander(m * n) == seifert
+            got = alexander_of(Ksat(Fig8(), Trefoil(), m, n))
+            assert got == seifert.canonical()
+
+    @pytest.mark.parametrize("leaf, matrix", [
+        (Trefoil(), ((-1, 1), (0, -1))), (Fig8(), ((1, 1), (0, -1))), (Kfam(1), theta(1).entries)])
+    def test_curated_leaves_are_their_seifert_determinants(self, leaf, matrix):
+        assert alexander_of(leaf) == alexander_polynomial(SeifertMatrix(matrix)).canonical()
 
     def test_twist_family(self):
         for m in range(-5, 6):

@@ -366,6 +366,21 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "FAIL pretzel-polynomial-identity" in out
 
+    def test_passes_without_numpy(self):
+        code = ("import sys; sys.modules['numpy'] = None; import knotfog.cli; "
+                "sys.exit(knotfog.cli.main(['selftest']))")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stdout + proc.stderr[-500:]
+        assert "9/9 criteria passed" in proc.stdout
+
+    @pytest.mark.parametrize("g, h", [(g, h) for g in range(1, 5) for h in range(5)])
+    def test_exhaustive_search_matches_a_four_loop_search(self, g, h):
+        side = range(-3, 4)
+        naive = min(max(1, abs(p) * g, abs(q) * h) + max(1, abs(r) * g, abs(s) * h)
+                    for p in side for q in side for r in side for s in side
+                    if p * s - q * r == 1)
+        assert selftest._brute_force_min(g, h, radius=3) == naive
+
     def test_reports_do_not_import_selftest(self):
         proc = run_python("-c", "import sys, knotfog.cli; print('knotfog.selftest' in sys.modules)")
         assert proc.returncode == 0, proc.stderr[-500:]
