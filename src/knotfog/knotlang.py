@@ -22,7 +22,8 @@ DEPTH_MAX others: a policy limit, as `parse` does not recurse.
 
 The named flags of `atom` may appear in any order, each at most once;
 `render` always prints them in the order torus, cable, slice and prints
-defaults explicitly, so that parse(render(e)) == e.
+defaults explicitly, so that parse(render(e)) is e.  Equal syntax nodes
+are one object, for every tree, and no value operation recurses.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 import random
 import re
+import weakref
 
 from .frozen import Frozen
 
@@ -53,6 +55,8 @@ INT_DIGITS_MAX = 1000
 # `fold`, so neither recurses.
 DEPTH_MAX = 200
 
+_NODES: dict[tuple, weakref.ref] = {}  # every live syntax node; see `_node`
+
 
 class TriState(str, enum.Enum):
     """Partial knowledge about a yes/no attribute.
@@ -69,9 +73,51 @@ class TriState(str, enum.Enum):
 
 
 class KnotExpr(Frozen):
-    """Base class for construction-tree nodes; all nodes are frozen values."""
+    """Base class of the syntax nodes, interned: equal nodes are one object, however built."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal nodes are one object
+    __copy__ = __deepcopy__ = lambda self, *memo: self
+    __repr__ = lambda self: render(self, _repr_pieces)
+
+    def __new__(cls):  # a leaf; the other nodes have constructors of their own
+        return _node((cls,))
+
+    def __reduce__(self):
+        """Pickle a flat table in fold order, a row (class, child rows, other
+        fields) per distinct subtree; a node's children are its first fields."""
+        rows: list[tuple] = []
+        def row(node: KnotExpr, kids: list[int]) -> int:
+            rows.append((node.__class__, kids, [getattr(node, f) for f in node.__slots__[len(kids):]]))
+            return len(rows) - 1
+        fold(self, row)
+        return _unpickle, (rows,)
+
+
+def _node(key: tuple) -> KnotExpr:
+    """The one live node with key (class, *fields), held in `_NODES` by its
+    key, children by identity, until it dies: the one interning site."""
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        node = object.__new__(key[0])
+        for name, value in zip(key[0].__slots__, key[1:]):
+            object.__setattr__(node, name, value)
+        _NODES[key] = weakref.ref(node, lambda ref, key=key: _NODES.get(key) is ref and _NODES.pop(key))
+    return node
+
+
+def _int(value, what: str) -> int:
+    """value, if it is an int and not a bool, as an INT parses; else a ValueError."""
+    if value.__class__ is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _knot(value, what: str) -> KnotExpr:
+    if not isinstance(value, KnotExpr):
+        raise ValueError(f"{what} must be a KnotExpr, got {value!r}")
+    return value
 
 
 class Unknot(KnotExpr):
@@ -91,12 +137,12 @@ class Kfam(KnotExpr):
 
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        if n < 1:
+    def __new__(cls, n: int):
+        if _int(n, "kfam n") < 1:
             raise ValueError(f"kfam requires n >= 1, got {n}")
         if n > KFAM_MAX:
             raise ValueError(f"kfam requires n <= {KFAM_MAX}, got {n}")
-        object.__setattr__(self, "n", n)
+        return _node((cls, n))
 
 
 class Wh0(KnotExpr):
@@ -108,11 +154,10 @@ class Wh0(KnotExpr):
 
     __slots__ = ("companion", "clasp")
 
-    def __init__(self, companion: KnotExpr, clasp: str = "+"):
+    def __new__(cls, companion: KnotExpr, clasp: str = "+"):
         if clasp not in ("+", "-"):
             raise ValueError(f"clasp must be '+' or '-', got {clasp!r}")
-        object.__setattr__(self, "companion", companion)
-        object.__setattr__(self, "clasp", clasp)
+        return _node((cls, _knot(companion, "wh0 companion"), clasp))
 
 
 class Ksat(KnotExpr):
@@ -121,11 +166,9 @@ class Ksat(KnotExpr):
 
     __slots__ = ("j", "l", "m", "n")
 
-    def __init__(self, j: KnotExpr, l: KnotExpr, m: int, n: int):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+    def __new__(cls, j: KnotExpr, l: KnotExpr, m: int, n: int):
+        return _node((cls, _knot(j, "ksat j"), _knot(l, "ksat l"), _int(m, "ksat m"),
+                      _int(n, "ksat n")))
 
 
 class Atom(KnotExpr):
@@ -134,17 +177,14 @@ class Atom(KnotExpr):
 
     __slots__ = ("name", "genus", "torus", "cable", "slice")
 
-    def __init__(self, name: str, genus: int, torus: TriState = TriState.UNKNOWN,
-                 cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
-        if genus < 1:
+    def __new__(cls, name: str, genus: int, torus: TriState = TriState.UNKNOWN,
+                cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
+        if _int(genus, "atom genus") < 1:
             raise ValueError(f"atom genus must be >= 1, got {genus}")
         if not (name[:1].isalpha() and _tokens(name) == [name, ""]):  # a NAME, as `parse` reads it
             raise ValueError(f"invalid atom name {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "cable", cable)
-        object.__setattr__(self, "slice", slice)
+        return _node((cls, name, genus, *[f if f.__class__ is TriState else TriState(f)
+                                           for f in (torus, cable, slice)]))
 
 
 class Sum(KnotExpr):
@@ -152,9 +192,8 @@ class Sum(KnotExpr):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: KnotExpr, right: KnotExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __new__(cls, left: KnotExpr, right: KnotExpr):
+        return _node((cls, _knot(left, "sum left"), _knot(right, "sum right")))
 
 
 # -- parser ----------------------------------------------------------------
@@ -197,23 +236,11 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    """The tokens of one text, read by index, and the nodes built from them."""
+    """The tokens of one text, read by index."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokens(text)
-        self.nodes: dict[tuple, KnotExpr] = {}
-
-    def node(self, cls: type, *fields) -> KnotExpr:
-        """The one node of class cls with these fields in this parse, so
-        that equal subtrees are one object.  A child field is keyed by
-        id, as it is already the one node of its value; keying by value
-        would hash the whole subtree at every node."""
-        key = (cls, *[id(f) if isinstance(f, KnotExpr) else f for f in fields])
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(*fields)
-        return node
 
     def error(self, message: str, i: int, before_space: bool = False) -> ParseError:
         """A ParseError at token i, or where the token before it ends.  Only
@@ -262,7 +289,7 @@ class _Parser:
         head = self.tokens[i]
         leaf = _LEAVES.get(head)
         if leaf is not None:
-            return self.node(leaf), i + 1
+            return leaf(), i + 1
         if head == "kfam":
             return self.kfam(i + 1)
         if head == "atom":
@@ -273,7 +300,7 @@ class _Parser:
         n = self.integer(self.expect("(", i), len(str(KFAM_MAX)), f"kfam requires 1 <= n <= {KFAM_MAX}")
         end = self.expect(")", i + 2)
         try:
-            return self.node(Kfam, n), end
+            return Kfam(n), end
         except ValueError as exc:  # the node's own range check, positioned
             raise self.error(str(exc), i + 1, before_space=True) from None
 
@@ -293,8 +320,8 @@ class _Parser:
                                              "expected yes/no/unknown, got {!r}"))
             i += 4
         unknown = TriState.UNKNOWN
-        return self.node(Atom, name, genus, flags.get("torus", unknown), flags.get("cable", unknown),
-                         flags.get("slice", unknown)), self.expect(")", i)
+        return Atom(name, genus, flags.get("torus", unknown), flags.get("cable", unknown),
+                    flags.get("slice", unknown)), self.expect(")", i)
 
     def wh0(self, companion: KnotExpr, i: int) -> tuple[Wh0, int]:
         """Close "wh0(" companion at token i: [", clasp =" sign] ")"."""
@@ -308,18 +335,19 @@ class _Parser:
                     raise self.error("expected ')'", i + 4)
                 raise self.error("expected '+' or '-' for clasp", i + 3)
             i += 4
-        return self.node(Wh0, companion, clasp), self.expect(")", i)
+        return Wh0(companion, clasp), self.expect(")", i)
 
     def ksat(self, j: KnotExpr, l: KnotExpr, i: int) -> tuple[Ksat, int]:
         """Close "ksat(" j "," l at token i: "," INT "," INT ")"."""
         m = self.integer(self.expect(",", i))
         n = self.integer(self.expect(",", i + 2))
-        return self.node(Ksat, j, l, m, n), self.expect(")", i + 4)
+        return Ksat(j, l, m, n), self.expect(")", i + 4)
 
 
 def parse(text: str) -> KnotExpr:
     """Parse the grammar above; raises ParseError with a position on failure.
-    Equal subtrees of the result are one object.
+    The result is the interned node: equal subtrees, of this or any other
+    live tree, are one object.
 
     One loop reads the terms, with no recursion.  Each open "(", "wh0("
     or "ksat(" is a frame on an explicit stack: [head, ksat's first
@@ -327,7 +355,7 @@ def parse(text: str) -> KnotExpr:
     frame's chain; unless "#" follows, the chain is the frame's operand,
     and a closed frame is a term that ends in the frame below."""
     p = _Parser(text)
-    tokens, node = p.tokens, p.node
+    tokens = p.tokens
     stack: list[list] = [["", None, None]]
     i = 0
     while True:
@@ -342,7 +370,7 @@ def parse(text: str) -> KnotExpr:
         while True:
             frame = stack[-1]
             if frame[2] is not None:
-                term = node(Sum, frame[2], term)
+                term = Sum(frame[2], term)
             if tokens[i] == "#":
                 frame[2] = term
                 i += 1
@@ -381,10 +409,10 @@ def children(e: KnotExpr) -> tuple[KnotExpr, ...]:
 
 def fold(e: KnotExpr, step):
     """step(node, child values in text order) once per distinct subtree,
-    children first; returns the root's value.  A subtree is distinct by
-    identity: `parse` makes equal subtrees one object, and a subtree met
-    again reuses its value.  An explicit stack replaces recursion, so no
-    depth reaches the interpreter's recursion limit."""
+    children first; returns the root's value.  Equal subtrees are one
+    object, so a subtree met again reuses its value.  An explicit stack
+    replaces recursion, so no depth reaches the interpreter's recursion
+    limit."""
     done: dict[int, object] = {}
     stack: list = [(e, None)]
     while stack:
@@ -401,16 +429,26 @@ def fold(e: KnotExpr, step):
     return done[id(e)]
 
 
-def render(e: KnotExpr) -> str:
-    """Canonical text with defaults printed explicitly; parse(render(e)) == e."""
+def _unpickle(rows: list[tuple]) -> KnotExpr:
+    """The last node of a `KnotExpr.__reduce__` table, built by the constructors."""
+    nodes: list[KnotExpr] = []
+    for cls, kids, fields in rows:
+        nodes.append(cls(*[nodes[k] for k in kids], *fields))
+    return nodes[-1]
+
+
+def render(e: KnotExpr, pieces=None) -> str:
+    """Canonical text with defaults printed explicitly; parse(render(e)) is e.
+    pieces(node), `_pieces` by default, spells a node as strings and nodes."""
+    pieces = pieces or _pieces
     out: list[str] = []
-    stack = list(reversed(_pieces(e)))
+    stack: list = [e]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
         else:
-            stack.extend(reversed(_pieces(item)))
+            stack.extend(reversed(pieces(item)))
     return "".join(out)
 
 
@@ -436,6 +474,15 @@ def _pieces(e: KnotExpr) -> tuple[KnotExpr | str, ...]:
         return (f"atom({e.name}, genus={e.genus}, torus={e.torus}, "
                 f"cable={e.cable}, slice={e.slice})",)
     raise TypeError(f"not a KnotExpr: {e!r}")
+
+
+def _repr_pieces(e: KnotExpr) -> list:
+    """A node's repr, `Name(field=value, ...)`, as `_pieces` spells its text."""
+    pieces: list = [f"{e.__class__.__qualname__}("]
+    for k, name in enumerate(e.__slots__):
+        value = getattr(e, name)
+        pieces += f"{', ' * (k > 0)}{name}=", value if isinstance(value, KnotExpr) else repr(value)
+    return pieces + [")"]
 
 
 # -- curated attribute flags ---------------------------------------------------

@@ -11,6 +11,7 @@ randomness is seeded here.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from typing import Callable, NamedTuple
@@ -209,13 +210,15 @@ _FUZZ_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789 ()#,=+-_½²١Ⅷ\u3000"
 
 
 def parser_round_trip() -> str:
-    """parse(render(e)) == e on 1000 expressions; 10^4 fuzz inputs, no crashes."""
+    """parse(render(e)) is e on 1000 expressions, a 2000-term chain and a
+    DEPTH_MAX nest; 10^4 fuzz inputs, no crashes."""
     rng = random.Random(777001)
-    for _ in range(1000):
-        e = knotlang.random_expr(rng, max_depth=4)
+    chain = functools.reduce(Sum, [Kfam(k % 3 + 1) for k in range(2000)])
+    nest = functools.reduce(Wh0, ["-"] * knotlang.DEPTH_MAX, knotlang.Fig8())
+    for e in [knotlang.random_expr(rng, max_depth=4) for _ in range(1000)] + [chain, nest]:
         text = render(e)
         back = parse(text)
-        _check(back == e, f"round trip failed: {text!r} -> {render(back)!r}")
+        _check(back is e, f"round trip failed: {text[:80]!r} -> {render(back)[:80]!r}")
     fuzz = random.Random(777002)
     for _ in range(10_000):
         text = "".join(fuzz.choice(_FUZZ_ALPHABET)
@@ -224,7 +227,7 @@ def parser_round_trip() -> str:
             parse(text)
         except knotlang.ParseError:
             pass  # positioned rejection is the expected outcome
-    return "1000 round trips, 10000 fuzz inputs"
+    return "1002 round trips, 10000 fuzz inputs"
 
 
 # -- runner -------------------------------------------------------------------

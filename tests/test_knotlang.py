@@ -252,6 +252,33 @@ class TestSharing:
         assert e.j == parse(a) != parse(b) == e.l
         assert parse(render(e)) == e
 
+    @pytest.mark.parametrize("a, b", [
+        (lambda: Wh0(Fig8(), "+"), lambda: Wh0(Fig8(), "-")),
+        (lambda: Ksat(Fig8(), Fig8(), 0, 1), lambda: Ksat(Fig8(), Fig8(), 1, 0)),
+        (lambda: Ksat(Fig8(), Fig8(), 0, 1), lambda: Ksat(Fig8(), Fig8(), 0, -1)),
+        (lambda: Kfam(2), lambda: Kfam(3)),
+        (Trefoil, Fig8),
+        (lambda: Sum(Trefoil(), Fig8()), lambda: Sum(Fig8(), Trefoil())),
+        (lambda: Atom("A", 2), lambda: Atom("B", 2)),
+        (lambda: Atom("A", 2), lambda: Atom("A", 3)),
+        (lambda: Atom("A", 2, torus=TriState.NO), lambda: Atom("A", 2, torus=TriState.YES)),
+        (lambda: Atom("A", 2, cable=TriState.NO), lambda: Atom("A", 2)),
+        (lambda: Atom("A", 2, slice=TriState.NO), lambda: Atom("A", 2, slice=TriState.YES)),
+    ])
+    def test_unequal_values_built_by_the_api_are_never_merged(self, a, b):
+        e = Ksat(a(), b(), 0, 0)
+        assert e.j is not e.l and e.j != e.l
+        assert e.j is a() and e.l is b()
+        assert parse(render(e)) is e
+
+    def test_api_built_subtrees_are_the_parsed_ones(self):
+        e = Ksat(Wh0(Fig8()), Wh0(Fig8()), 0, 0)
+        assert e.j is e.l
+        assert parse("ksat(wh0(fig8), wh0(fig8), 0, 0)") is e
+        steps = []
+        fold(e, lambda node, kids: steps.append(node))
+        assert steps == [Fig8(), Wh0(Fig8()), e]
+
     def test_parse_shares_maximally(self):
         # no two distinct objects of a parse are equal values
         rng = random.Random(1010)

@@ -13,7 +13,7 @@ import pytest
 
 from knotfog.classical import IntInterval
 from knotfog.firstorder import BasisWitness, WeakGropeCertificate
-from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
+from knotfog.knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0)
 from knotfog.laurent import LaurentPoly
 from knotfog.seifert import BasisChange, SeifertMatrix
@@ -62,7 +62,7 @@ class TestValue:
 
     def test_equal_fields_make_equal_values_with_equal_hashes(self, build, text):
         a, b = build(), build()
-        assert a is not b
+        assert (a is b) == isinstance(a, KnotExpr)  # syntax nodes are interned
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
@@ -156,6 +156,16 @@ class TestConstruction:
     (lambda: Atom("1A", 0), "atom genus must be >= 1, got 0"),
     (lambda: Atom("1A", 1), "invalid atom name '1A'"),
     (lambda: Atom("", 1), "invalid atom name ''"),
+    (lambda: Atom("A", 1, torus="maybe"), "'maybe' is not a valid TriState"),
+    (lambda: Atom("A", True), "atom genus must be an integer, got True"),
+    (lambda: Kfam(2.0), "kfam n must be an integer, got 2.0"),
+    (lambda: Kfam(True), "kfam n must be an integer, got True"),
+    (lambda: Ksat(Fig8(), Fig8(), 1.5, 0), "ksat m must be an integer, got 1.5"),
+    (lambda: Ksat(Fig8(), Fig8(), 0, False), "ksat n must be an integer, got False"),
+    (lambda: Ksat(Fig8(), "fig8", 0, 0), "ksat l must be a KnotExpr, got 'fig8'"),
+    (lambda: Wh0("x"), "wh0 companion must be a KnotExpr, got 'x'"),
+    (lambda: Sum(Trefoil(), 3), "sum right must be a KnotExpr, got 3"),
+    (lambda: Sum(None, Trefoil()), "sum left must be a KnotExpr, got None"),
     (lambda: SeifertMatrix(((1, 2),)), "matrix must be square"),
     (lambda: SeifertMatrix(((1,),)), "Seifert matrix must have even size, got 1"),
     (lambda: BasisChange(((1, 2),)), "matrix must be square"),
