@@ -94,12 +94,16 @@ class KnotExpr(Frozen):
         return _unpickle, (rows,)
 
 
-def _node(key: tuple) -> KnotExpr:
+def _node(key: tuple, check=None) -> KnotExpr:
     """The one live node with key (class, *fields), held in `_NODES` by its
-    key, children by identity, until it dies: the one interning site."""
+    key, children by identity, until it dies: the one interning site.
+    check(key), if given, runs only when no such node lives: a key that
+    finds its node was checked when that node was made."""
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
+        if check:
+            check(key)
         node = object.__new__(key[0])
         for name, value in zip(key[0].__slots__, key[1:]):
             object.__setattr__(node, name, value)
@@ -181,10 +185,17 @@ class Atom(KnotExpr):
                 cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
         if _int(genus, "atom genus") < 1:
             raise ValueError(f"atom genus must be >= 1, got {genus}")
-        if not (name[:1].isalpha() and _tokens(name) == [name, ""]):  # a NAME, as `parse` reads it
-            raise ValueError(f"invalid atom name {name!r}")
-        return _node((cls, name, genus, *[f if f.__class__ is TriState else TriState(f)
-                                           for f in (torus, cable, slice)]))
+        if not torus.__class__ is cable.__class__ is slice.__class__ is TriState:
+            _atom_name((cls, name))  # a bad name is reported before a bad flag
+            torus, cable, slice = TriState(torus), TriState(cable), TriState(slice)
+        return _node((cls, name, genus, torus, cable, slice), _atom_name)
+
+
+def _atom_name(key: tuple) -> None:
+    """Reject an Atom key whose name is not a NAME, as `parse` reads it."""
+    name = key[1]
+    if not (name[:1].isalpha() and _tokens(name) == [name, ""]):
+        raise ValueError(f"invalid atom name {name!r}")
 
 
 class Sum(KnotExpr):

@@ -5,8 +5,17 @@ linking numbers of pushed-off basis curves on a genus-g spanning
 surface.  This module provides:
 
 * the banded matrices of the ribbon pretzel family (``theta``),
-* the Alexander polynomial det(V - t*V^T), interpolated exactly from
-  integer determinants at t = 0, 1, ..., size (one routine, int_det),
+* the Alexander polynomial f(t) = det(V - t*V^T), interpolated exactly
+  from g + 1 integer determinants at t = 0, 1, -1, 2, -2, ...: the size
+  2g is even, so transposing and then negating all rows gives
+  t^(2g) f(1/t) = det(t*V - V^T) = det(t*V^T - V) = f(t), a palindrome
+  of degree at most 2g, and f(t) = t^g * H(t + 1/t) with H an integer
+  polynomial of degree at most g (see alexander_polynomial),
+* one determinant routine, int_det: fraction-free elimination that
+  skips every row a step would only rescale.  Step k multiplies such a
+  row by p_k / p_(k-1), with p_k the k-th pivot; over steps s..t-1 the
+  factors telescope to p_(t-1) / p_(s-1), so the row is brought up to
+  date by one exact multiply-divide when it is next read,
 * the intersection form V - V^T and its comparison with the standard
   block form J = diag([[0,1],[-1,0]], ...),
 * congruence change of basis P*V*P^T with unimodularity checks, and
@@ -19,7 +28,6 @@ block diagonal.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
@@ -93,67 +101,130 @@ class BasisChange(Frozen):
 # -- determinants -------------------------------------------------------
 
 
-def int_det(rows: Rows) -> int:
+def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free elimination.
 
     The module's one determinant routine: it checks unimodularity and
     samples every Alexander polynomial (Bareiss, Math. Comp. 22, 1968).
+    Step k replaces each row i > k, on columns j > k, by
+
+        (p_k * m[i][j] - m[i][k] * m[k][j]) / p_(k-1),
+
+    with p_k the k-th pivot and p_(-1) = 1; the quotient is exact, since
+    it is a minor of the input.  A row whose column-k entry is 0 is only
+    scaled, by p_k / p_(k-1), and over the steps s..t-1 these factors
+    telescope to p_(t-1) / p_(s-1).  So such a row is skipped and keeps a
+    stamp, the divisor p_(s-1) as of which it is current: its current
+    entries are the stored ones times p_(t-1) / stamp.  Substituting that
+    into the step above, p_(t-1) cancels, so a row with a nonzero entry
+    is brought up to date and eliminated in one multiply-divide, by its
+    stamp instead of p_(t-1).  The pivot row and the last entry are
+    rescaled by p_(t-1) / stamp before they are read.  A zero test needs
+    no rescaling, since the factor is a ratio of nonzero pivots, and a
+    swap moves the stamps with the rows.  A dense matrix pays one zero
+    test per row per step, with every stamp equal to p_(t-1); a banded
+    one skips the rows below the band, about O(n^2) steps instead of
+    O(n^3).  A division with a remainder can only be a bug, so it raises
+    ArithmeticError, which `python -O` keeps, unlike an `assert`.
     """
     n = len(rows)
     if n == 0:
         return 1
     m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
+    stamp = [1] * n
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot is None:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
+            stamp[k], stamp[pivot] = stamp[pivot], stamp[k]
             sign = -sign
-        top, pivot_row = m[k][k], m[k]
-        for row in m[k + 1:]:
+        top, *tail = _scaled(m[k][k:], prev, stamp[k])
+        for i in range(k + 1, n):
+            row = m[i]
             head = row[k]
-            for j in range(k + 1, n):
-                num = top * row[j] - head * pivot_row[j]
-                assert num % prev == 0, "Bareiss division must be exact"
-                row[j] = num // prev
-            row[k] = 0
+            if head:
+                den, out = stamp[i], [0]
+                for a, b in zip(row[k + 1:], tail):
+                    q, r = divmod(top * a - head * b, den)
+                    if r:
+                        raise ArithmeticError(f"inexact Bareiss step: remainder {r} mod {den}")
+                    out.append(q)
+                row[k:] = out
+                stamp[i] = top
         prev = top
-    return sign * m[n - 1][n - 1]
+    return sign * _scaled(m[n - 1][n - 1:], prev, stamp[n - 1])[0]
+
+
+def _scaled(values: list[int], num: int, den: int) -> list[int]:
+    """values * num / den, each division checked exact."""
+    if num == den:
+        return values
+    out = []
+    for x in values:
+        q, r = divmod(x * num, den)
+        if r:
+            raise ArithmeticError(f"inexact Bareiss division: {x} * {num} / {den}")
+        out.append(q)
+    return out
 
 
 def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
     """det(V - t*V^T), exactly; the size-0 matrix (disc) yields 1.
 
-    For V of size n, f(x) = det(V - x*V^T) has degree at most n, so the
-    integer determinants f(0), ..., f(n) fix it, and Newton's forward
-    differences recover it:
+    For V of even size n = 2g, f(x) = det(V - x*V^T) is a palindrome:
+    transposing, then negating all n rows,
 
-        f(x) = sum_k c_k * x(x-1)...(x-k+1),   c_k = (Delta^k f)(0) / k!.
+        x^n f(1/x) = det(x*V - V^T) = det(x*V^T - V) = (-1)^n f(x) = f(x).
 
-    Each division is exact: f = sum_m a_m x^m with integer a_m, Delta^k
-    is linear and (Delta^k x^m)(0) = k! * S(m, k), with S the Stirling
-    number of the second kind, so (Delta^k f)(0) = k! * sum_m a_m S(m, k).
-    A remainder can only be a bug, so it raises rather than rounding;
-    Horner's rule over the falling factorials keeps every step integral.
+    Its degree is at most n, so f(x) = x^g * H(x + 1/x) for a polynomial
+    H = b_0 + b_1*u + ... + b_g*u^g with integer coefficients: for
+    k = g, g-1, ..., 0, subtracting b_k * x^(g-k) * (1 + x^2)^k, with b_k
+    the coefficient of x^(g+k) left, clears that coefficient and, by
+    symmetry, the one of x^(g-k).  So b_g = f(0), and H's other g
+    coefficients are fixed by g values H(x + 1/x) = f(x) / x^g, at
+    x = 1, -1, 2, -2, ...; x + 1/x is odd and increasing on x >= 1, so
+    these points are distinct.  That is g + 1 integer determinants in
+    all, of matrices with small multipliers x.  Newton's divided
+    differences interpolate H - f(0)*u^g over the fractions; a
+    coefficient that is not an integer can only be a bug, so it raises
+    rather than rounding.  Horner's rule in integers then expands
+
+        T_g = b_g,  T_k = T_(k+1) * (1 + x^2) + b_k * x^(g-k),  f = T_0.
     """
-    n = V.size
+    from fractions import Fraction  # imported here: no report computes a determinant
+
+    g = V.size // 2
     rows = V.entries
-    diffs = [int_det(tuple(tuple(rows[i][j] - x * rows[j][i] for j in range(n))
-                           for i in range(n)))
-             for x in range(n + 1)]
-    for k in range(1, n + 1):  # diffs[k] becomes (Delta^k f)(0)
-        for i in range(n, k - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    poly: list[int] = []
-    for k in range(n, -1, -1):  # poly := poly * (x - k) + c_k
-        c, rem = divmod(diffs[k], math.factorial(k))
-        if rem:
-            raise ArithmeticError(f"inexact Newton step k={k} in det(V - t*V^T), V = {V}")
-        poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
-        poly[0] += c
+    pairs = tuple(zip(rows, zip(*rows)))  # row i of V with row i of V^T
+
+    def f(x: int) -> int:
+        return int_det([[a - x * b for a, b in zip(row, col)] for row, col in pairs])
+
+    lead = f(0)
+    xs = [(k // 2 + 1) * (-1) ** k for k in range(g)]
+    us = [Fraction(x * x + 1, x) for x in xs]
+    diffs = [Fraction(f(x), x ** g) - lead * u ** g for x, u in zip(xs, us)]
+    for k in range(1, g):  # diffs[i] becomes the divided difference on us[i-k..i]
+        for i in range(g - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (us[i] - us[i - k])
+    low: list[Fraction] = []
+    for d, u in zip(reversed(diffs), reversed(us)):  # low := low * (u - us[i]) + diffs[i]
+        low = [a - u * b for a, b in zip([0] + low, low + [0])]
+        low[0] += d
+    b = []
+    for c in low:
+        if c.denominator != 1:
+            raise ArithmeticError(f"non-integer coefficient {c} of H in det(V - t*V^T), V = {V}")
+        b.append(c.numerator)
+    b.append(lead)
+    poly = [0] * (2 * g + 1)
+    for k in range(g, -1, -1):  # poly := poly * (1 + x^2) + b_k * x^(g-k)
+        for j in range(2 * (g - k), 1, -1):
+            poly[j] += poly[j - 2]
+        poly[g - k] += b[k]
     return LaurentPoly(0, poly)
 
 

@@ -143,6 +143,24 @@ class TestTable:
         assert Atom("A", 1, torus="yes") is Atom("A", 1, torus=TriState.YES)
         assert Atom("A", 1, slice="no").slice is TriState.NO
 
+    def test_atom_name_is_checked_once_per_live_node(self, monkeypatch):
+        checked = []
+        tokens = knotlang._tokens
+        monkeypatch.setattr(knotlang, "_tokens", lambda text: checked.append(text) or tokens(text))
+        held = Atom("Once_1", 2)
+        for flag in (TriState.UNKNOWN, "unknown"):
+            assert Atom("Once_1", 2, torus=flag) is held
+        assert checked == ["Once_1", "Once_1"]  # the string flag takes the full check
+        del held
+        gc.collect()
+        Atom("Once_1", 2)  # made afresh, so checked afresh
+        assert checked == ["Once_1"] * 3
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid atom name '1A'"):
+                Atom("1A", 2)
+        with pytest.raises(ValueError, match="invalid atom name '1A'"):
+            Atom("1A", 2, torus="maybe")  # the name is reported before the flag
+
     def test_dropped_nodes_leave_the_table(self):
         gc.collect()
         live = len(knotlang._NODES)

@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
 
+import seifert_oracle
 from knotfog import seifert
 from knotfog.laurent import LaurentPoly, ONE, ZERO, unit_equivalent
 from knotfog.seifert import (BasisChange, SeifertMatrix, alexander_polynomial,
                              change_basis, int_det, intersection_form,
                              random_symplectic, standard_form, theta)
+from test_cli import run_python
 
 BASE = LaurentPoly(0, (-2, 5, -2))
 TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
@@ -78,6 +81,8 @@ class TestAlexander:
             det = alexander_polynomial(theta(n))
             assert unit_equivalent(det, BASE ** n)
             assert det.canonical() == (BASE ** n).canonical()
+        for n in (32, 48, 64):  # at scale: g + 1 determinants that skip the zeros
+            assert alexander_polynomial(theta(n)).canonical() == (BASE ** n).canonical()
 
     def test_bareiss_agrees_with_cofactor(self):
         rng = random.Random(1009)
@@ -92,7 +97,8 @@ class TestAlexander:
             assert alexander_polynomial(theta(n)) == cofactor_alexander(theta(n))
 
     def test_agrees_with_int_det_off_the_sample_points(self):
-        # The interpolation samples x = 0..n; these points are never sampled.
+        # The interpolation samples x = 0, 1, -1, 2, -2, ..., g + 1 points with
+        # |x| <= (g + 1) / 2 for n = 2g; these points are never sampled.
         rng = random.Random(4242)
         for _ in range(500):
             n = rng.choice((0, 2, 4, 6, 8, 10))
@@ -101,14 +107,15 @@ class TestAlexander:
                                 else rng.randint(-9, 9) for _ in range(n)]
                                for _ in range(n)])
             poly = alexander_polynomial(V)
-            for x in (-3, -1, n + 1, n + 2):
+            for x in (-n - 2, -n - 1, n + 1, n + 2):
                 rows = tuple(tuple(V.entries[i][j] - x * V.entries[j][i] for j in range(n))
                              for i in range(n))
                 assert poly.evaluate(x) == int_det(rows)
 
     def test_samples_of_no_polynomial_raise(self, monkeypatch):
-        # One sample off by one, at x = 1: the k-th difference at 0 moves by
-        # +-k, which k! does not divide for k >= 3.
+        # One sample off by one, at x = 1, for theta(2), g = 2: H(2) = f(1)
+        # moves by 1, where H(u) = b_2*u^2 + b_1*u + b_0 is also fixed by
+        # b_2 = f(0) and H(-2) = f(-1), so b_1 moves by 1/4 and b_0 by 1/2.
         calls = []
 
         def skewed(rows):
@@ -118,6 +125,71 @@ class TestAlexander:
         monkeypatch.setattr(seifert, "int_det", skewed)
         with pytest.raises(ArithmeticError):
             alexander_polynomial(theta(2))
+
+
+def random_matrix(rng: random.Random, n: int, shape: str) -> list[list[int]]:
+    """An n x n integer matrix of the given shape, some entries up to 30 digits."""
+    huge = rng.random() < 0.3
+
+    def entry() -> int:
+        if huge and rng.random() < 0.3:
+            return rng.randint(-10 ** 30, 10 ** 30)
+        return rng.randint(-9, 9)
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "banded":
+        width = rng.randint(0, 2)
+        m = [[x if abs(i - j) <= width else 0 for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    elif shape == "sparse":
+        m = [[x if rng.random() < 0.25 else 0 for x in row] for row in m]
+    elif shape == "zero-diagonal":  # every pivot needs a row swap
+        m = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    elif shape == "singular" and n:  # a row that is a multiple of another, or zero
+        i, j = rng.randrange(n), rng.randrange(n)
+        m[i] = [rng.randint(-3, 3) * x for x in m[j]] if i != j else [0] * n
+    return m
+
+
+SHAPES = ("dense", "banded", "sparse", "zero-diagonal", "singular")
+
+
+def poly_key(p: LaurentPoly) -> tuple:
+    return p.min_degree, p.coeffs
+
+
+class TestAgainstTheOracle:
+    """The g + 1 sparse-aware determinants give exactly what the n + 1
+    dense ones of `seifert_oracle` give."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random_matrices(self, shape):
+        rng = random.Random(f"seifert-oracle:{shape}")
+        for _ in range(120):
+            V = SeifertMatrix(random_matrix(rng, rng.choice(range(0, 13, 2)), shape))
+            assert poly_key(alexander_polynomial(V)) == \
+                poly_key(seifert_oracle.alexander_polynomial(V)), V
+
+    def test_theta_family(self):
+        for n in range(1, 21):
+            assert poly_key(alexander_polynomial(theta(n))) == \
+                poly_key(seifert_oracle.alexander_polynomial(theta(n))), n
+
+    def test_moved_standard_matrices(self):
+        rng = random.Random(9001)
+        for g in range(1, 10):
+            for _ in range(3):
+                P = random_symplectic(g, seed=rng.randrange(10 ** 6), length=rng.randint(g, 2 * g))
+                V = change_basis(_random_standard(rng, g), P)
+                assert poly_key(alexander_polynomial(V)) == \
+                    poly_key(seifert_oracle.alexander_polynomial(V)), V
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_int_det(self, shape):
+        rng = random.Random(f"int-det-oracle:{shape}")
+        for _ in range(200):
+            m = tuple(map(tuple, random_matrix(rng, rng.randint(0, 12), shape)))
+            assert int_det(m) == seifert_oracle.int_det(m), m
 
 
 class TestSeifertMatrixType:
@@ -265,20 +337,44 @@ class TestIntDet:
         assert int_det(((0, 1), (0, 2))) == 0
 
     def test_against_permutation_expansion(self):
-        import itertools
         rng = random.Random(55)
         for _ in range(50):
             n = rng.randint(1, 4)
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            expected = 0
-            for perm in itertools.permutations(range(n)):
-                sign = 1
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                prod = 1
-                for i in range(n):
-                    prod *= m[i][perm[i]]
-                expected += sign * prod
-            assert int_det(tuple(tuple(row) for row in m)) == expected
+            assert int_det(tuple(tuple(row) for row in m)) == permutation_det(m)
+
+    @pytest.mark.parametrize("shape", ("sparse", "banded", "zero-diagonal", "singular"))
+    def test_skipped_rows_against_permutation_expansion(self, shape):
+        rng = random.Random(f"int-det-permutations:{shape}")
+        for _ in range(60):
+            m = random_matrix(rng, rng.randint(1, 6), shape)
+            assert int_det(tuple(tuple(row) for row in m)) == permutation_det(m), m
+
+    def test_inexact_division_raises_under_optimization(self):
+        # Bareiss quotients are exact for integer matrices; a 1/3 entry makes
+        # one inexact, and the check must survive `python -O`.
+        proc = run_python("-O", "-c", (
+            "from fractions import Fraction\n"
+            "from knotfog.seifert import int_det\n"
+            "try:\n"
+            "    int_det(((3, 1, 1), (1, 2, 1), (1, 1, Fraction(1, 3))))\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"))
+        assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
+
+
+def permutation_det(m: list[list[int]]) -> int:
+    """Oracle: the Leibniz sum over all permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = 1
+        for i in range(n):
+            prod *= m[i][perm[i]]
+        total += sign * prod
+    return total

@@ -18,7 +18,8 @@ from knotfog.knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, Tr
 from knotfog.laurent import LaurentPoly
 from knotfog.seifert import BasisChange, SeifertMatrix
 
-# (build, repr): each build makes a fresh value, so equality is by fields.
+# (build, repr): two builds of a syntax node are one interned object; the
+# other values are fresh objects each time, equal by fields.
 VALUES = [
     (lambda: IntInterval(1, None), "IntInterval(lo=1, hi=None)"),
     (lambda: IntInterval.point(2), "IntInterval(lo=2, hi=2)"),
