@@ -8,6 +8,9 @@ delete attributes, and copy and pickle by calling the class again.  It
 is hand-written because every CLI process imports these classes, and
 `dataclasses` would cost it the import of `inspect` plus generated code
 compiled per class.
+
+`integer` is the one check that a field is an `int` and not a `bool`,
+shared by the syntax nodes and the integer matrices.
 """
 
 from __future__ import annotations
@@ -39,3 +42,11 @@ class Frozen:
 
     def __reduce__(self):
         return self.__class__, self._fields()
+
+
+def integer(value, what: str) -> int:
+    """value, if it is an int and not a bool, as the grammar's INT and every
+    matrix entry must be; else a ValueError."""
+    if value.__class__ is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value

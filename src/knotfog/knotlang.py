@@ -33,7 +33,7 @@ import random
 import re
 import weakref
 
-from .frozen import Frozen
+from .frozen import Frozen, integer
 
 
 # Largest accepted kfam index.  The Alexander polynomial of kfam(n) is
@@ -111,13 +111,6 @@ def _node(key: tuple, check=None) -> KnotExpr:
     return node
 
 
-def _int(value, what: str) -> int:
-    """value, if it is an int and not a bool, as an INT parses; else a ValueError."""
-    if value.__class__ is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _knot(value, what: str) -> KnotExpr:
     if not isinstance(value, KnotExpr):
         raise ValueError(f"{what} must be a KnotExpr, got {value!r}")
@@ -142,7 +135,7 @@ class Kfam(KnotExpr):
     __slots__ = ("n",)
 
     def __new__(cls, n: int):
-        if _int(n, "kfam n") < 1:
+        if integer(n, "kfam n") < 1:
             raise ValueError(f"kfam requires n >= 1, got {n}")
         if n > KFAM_MAX:
             raise ValueError(f"kfam requires n <= {KFAM_MAX}, got {n}")
@@ -171,8 +164,8 @@ class Ksat(KnotExpr):
     __slots__ = ("j", "l", "m", "n")
 
     def __new__(cls, j: KnotExpr, l: KnotExpr, m: int, n: int):
-        return _node((cls, _knot(j, "ksat j"), _knot(l, "ksat l"), _int(m, "ksat m"),
-                      _int(n, "ksat n")))
+        return _node((cls, _knot(j, "ksat j"), _knot(l, "ksat l"), integer(m, "ksat m"),
+                      integer(n, "ksat n")))
 
 
 class Atom(KnotExpr):
@@ -183,7 +176,7 @@ class Atom(KnotExpr):
 
     def __new__(cls, name: str, genus: int, torus: TriState = TriState.UNKNOWN,
                 cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
-        if _int(genus, "atom genus") < 1:
+        if integer(genus, "atom genus") < 1:
             raise ValueError(f"atom genus must be >= 1, got {genus}")
         if not torus.__class__ is cable.__class__ is slice.__class__ is TriState:
             _atom_name((cls, name))  # a bad name is reported before a bad flag

@@ -5,12 +5,12 @@ linking numbers of pushed-off basis curves on a genus-g spanning
 surface.  This module provides:
 
 * the banded matrices of the ribbon pretzel family (``theta``),
-* the Alexander polynomial f(t) = det(V - t*V^T), interpolated exactly
-  from g + 1 integer determinants at t = 0, 1, -1, 2, -2, ...: the size
-  2g is even, so transposing and then negating all rows gives
-  t^(2g) f(1/t) = det(t*V - V^T) = det(t*V^T - V) = f(t), a palindrome
-  of degree at most 2g, and f(t) = t^g * H(t + 1/t) with H an integer
-  polynomial of degree at most g (see alexander_polynomial),
+* the Alexander polynomial f(t) = det(V - t*V^T), read exactly off one
+  integer determinant at t = 2^B (Kronecker substitution): Hadamard's
+  inequality and Parseval's identity bound every coefficient of f below
+  2^(B-1) in absolute value, so they are the balanced base-2^B digits
+  of f(2^B), which must form a palindrome of length 2g + 1 (see
+  alexander_polynomial),
 * one determinant routine, int_det: fraction-free elimination that
   skips every row a step would only rescale.  Step k multiplies such a
   row by p_k / p_(k-1), with p_k the k-th pivot; over steps s..t-1 the
@@ -28,17 +28,18 @@ block diagonal.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
-from .frozen import Frozen
+from .frozen import Frozen, integer
 from .laurent import LaurentPoly
 
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _freeze(entries: Sequence[Sequence[int]]) -> Rows:
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+def _freeze(entries: Sequence[Sequence[int]], what: str) -> Rows:
+    rows = tuple(tuple(integer(x, what) for x in row) for row in entries)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
@@ -51,7 +52,7 @@ class SeifertMatrix(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = _freeze(entries)
+        rows = _freeze(entries, "Seifert matrix entry")
         if len(rows) % 2:
             raise ValueError(f"Seifert matrix must have even size, got {len(rows)}")
         object.__setattr__(self, "entries", rows)
@@ -79,7 +80,7 @@ class BasisChange(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = _freeze(entries)
+        rows = _freeze(entries, "basis change entry")
         if len(rows) % 2:
             raise ValueError(f"basis change must have even size, got {len(rows)}")
         d = int_det(rows)
@@ -105,7 +106,8 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free elimination.
 
     The module's one determinant routine: it checks unimodularity and
-    samples every Alexander polynomial (Bareiss, Math. Comp. 22, 1968).
+    evaluates every Alexander polynomial at its one point t = 2^B
+    (Bareiss, Math. Comp. 22, 1968).
     Step k replaces each row i > k, on columns j > k, by
 
         (p_k * m[i][j] - m[i][k] * m[k][j]) / p_(k-1),
@@ -172,60 +174,68 @@ def _scaled(values: list[int], num: int, den: int) -> list[int]:
 
 
 def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
-    """det(V - t*V^T), exactly; the size-0 matrix (disc) yields 1.
+    """det(V - t*V^T), exactly, from one determinant; the size-0 matrix
+    (disc) yields 1.
 
     For V of even size n = 2g, f(x) = det(V - x*V^T) is a palindrome:
     transposing, then negating all n rows,
 
         x^n f(1/x) = det(x*V - V^T) = det(x*V^T - V) = (-1)^n f(x) = f(x).
 
-    Its degree is at most n, so f(x) = x^g * H(x + 1/x) for a polynomial
-    H = b_0 + b_1*u + ... + b_g*u^g with integer coefficients: for
-    k = g, g-1, ..., 0, subtracting b_k * x^(g-k) * (1 + x^2)^k, with b_k
-    the coefficient of x^(g+k) left, clears that coefficient and, by
-    symmetry, the one of x^(g-k).  So b_g = f(0), and H's other g
-    coefficients are fixed by g values H(x + 1/x) = f(x) / x^g, at
-    x = 1, -1, 2, -2, ...; x + 1/x is odd and increasing on x >= 1, so
-    these points are distinct.  That is g + 1 integer determinants in
-    all, of matrices with small multipliers x.  Newton's divided
-    differences interpolate H - f(0)*u^g over the fractions; a
-    coefficient that is not an integer can only be a bug, so it raises
-    rather than rounding.  Horner's rule in integers then expands
+    So f = c_0 + c_1*x + ... + c_n*x^n with integers c_j = c_(n-j).
 
-        T_g = b_g,  T_k = T_(k+1) * (1 + x^2) + b_k * x^(g-k),  f = T_0.
+    The bound (Hadamard, then Parseval).  For |x| = 1, entry (i, j) of
+    V - x*V^T has absolute value at most |V_ij| + |V_ji|, and Hadamard's
+    inequality, |det M| <= the product of the Euclidean lengths of M's
+    rows, gives |f(x)| <= R on the unit circle, with
+
+        R^2 = prod_i sum_j (|V_ij| + |V_ji|)^2.
+
+    Parseval's identity, sum_j c_j^2 = (1/2pi) * integral over [0, 2pi]
+    of |f(e^(i*s))|^2 ds, then gives sum_j c_j^2 <= R^2, so every
+    |c_j| <= r = isqrt(R^2), the c_j being integers.  With
+    B = bit_length(r + 1) + 1, r + 1 < 2^(B-1), so every |c_j| < 2^(B-1)
+    (see von zur Gathen and Gerhard, Modern Computer Algebra, 8.4, 16.6).
+
+    The digits (Kronecker substitution).  At X = 2^B, one determinant
+    gives D = f(X) = sum_j c_j X^j.  Every integer has exactly one
+    expansion sum_j d_j X^j in balanced digits -X/2 <= d_j < X/2, all
+    but finitely many 0: d_0 must be the one residue of D mod X in that
+    window, and the others the digits of the integer (D - d_0) / X.  The
+    c_j are such digits, so the n + 1 digits read off the low end are
+    c_0, ..., c_n and 0 is left over.  A value left over, or digits that
+    are not a palindrome, can only be a bug, so either raises
+    ArithmeticError.
     """
-    from fractions import Fraction  # imported here: no report computes a determinant
-
-    g = V.size // 2
+    n = V.size
     rows = V.entries
-    pairs = tuple(zip(rows, zip(*rows)))  # row i of V with row i of V^T
+    bits = _digit_bits(V)
+    X = 1 << bits
+    value = int_det([[a - X * b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
+    mask, coeffs = X - 1, []
+    for _ in range(n + 1):
+        digit = value & mask
+        if digit >> (bits - 1):
+            digit -= X
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    if value:
+        raise ArithmeticError(f"det(V - t*V^T) at t = 2^{bits} has a {value.bit_length()}-bit "
+                              f"value left over past degree {n}, V = {V}")
+    if coeffs != coeffs[::-1]:
+        raise ArithmeticError(f"det(V - t*V^T) at t = 2^{bits} has digits that are not "
+                              f"a palindrome, V = {V}")
+    return LaurentPoly(0, coeffs)
 
-    def f(x: int) -> int:
-        return int_det([[a - x * b for a, b in zip(row, col)] for row, col in pairs])
 
-    lead = f(0)
-    xs = [(k // 2 + 1) * (-1) ** k for k in range(g)]
-    us = [Fraction(x * x + 1, x) for x in xs]
-    diffs = [Fraction(f(x), x ** g) - lead * u ** g for x, u in zip(xs, us)]
-    for k in range(1, g):  # diffs[i] becomes the divided difference on us[i-k..i]
-        for i in range(g - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (us[i] - us[i - k])
-    low: list[Fraction] = []
-    for d, u in zip(reversed(diffs), reversed(us)):  # low := low * (u - us[i]) + diffs[i]
-        low = [a - u * b for a, b in zip([0] + low, low + [0])]
-        low[0] += d
-    b = []
-    for c in low:
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer coefficient {c} of H in det(V - t*V^T), V = {V}")
-        b.append(c.numerator)
-    b.append(lead)
-    poly = [0] * (2 * g + 1)
-    for k in range(g, -1, -1):  # poly := poly * (1 + x^2) + b_k * x^(g-k)
-        for j in range(2 * (g - k), 1, -1):
-            poly[j] += poly[j - 2]
-        poly[g - k] += b[k]
-    return LaurentPoly(0, poly)
+def _digit_bits(V: SeifertMatrix) -> int:
+    """B with every coefficient of det(V - t*V^T) below 2^(B-1) in absolute
+    value: B = bit_length(isqrt(R^2) + 1) + 1 for Hadamard's R^2 (proof in
+    alexander_polynomial)."""
+    square = 1
+    for row, col in zip(V.entries, zip(*V.entries)):
+        square *= sum((abs(a) + abs(b)) ** 2 for a, b in zip(row, col))
+    return (math.isqrt(square) + 1).bit_length() + 1
 
 
 # -- intersection forms and congruence -----------------------------------

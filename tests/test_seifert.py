@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -81,7 +84,7 @@ class TestAlexander:
             det = alexander_polynomial(theta(n))
             assert unit_equivalent(det, BASE ** n)
             assert det.canonical() == (BASE ** n).canonical()
-        for n in (32, 48, 64):  # at scale: g + 1 determinants that skip the zeros
+        for n in (32, 48, 64):  # at scale: one determinant that skips the zeros
             assert alexander_polynomial(theta(n)).canonical() == (BASE ** n).canonical()
 
     def test_bareiss_agrees_with_cofactor(self):
@@ -97,8 +100,8 @@ class TestAlexander:
             assert alexander_polynomial(theta(n)) == cofactor_alexander(theta(n))
 
     def test_agrees_with_int_det_off_the_sample_points(self):
-        # The interpolation samples x = 0, 1, -1, 2, -2, ..., g + 1 points with
-        # |x| <= (g + 1) / 2 for n = 2g; these points are never sampled.
+        # The routine samples only x = 2^B, with B >= 2; these small points
+        # are never sampled.
         rng = random.Random(4242)
         for _ in range(500):
             n = rng.choice((0, 2, 4, 6, 8, 10))
@@ -112,19 +115,45 @@ class TestAlexander:
                              for i in range(n))
                 assert poly.evaluate(x) == int_det(rows)
 
-    def test_samples_of_no_polynomial_raise(self, monkeypatch):
-        # One sample off by one, at x = 1, for theta(2), g = 2: H(2) = f(1)
-        # moves by 1, where H(u) = b_2*u^2 + b_1*u + b_0 is also fixed by
-        # b_2 = f(0) and H(-2) = f(-1), so b_1 moves by 1/4 and b_0 by 1/2.
-        calls = []
-
-        def skewed(rows):
-            calls.append(rows)
-            return int_det(rows) + (len(calls) == 2)
-
-        monkeypatch.setattr(seifert, "int_det", skewed)
-        with pytest.raises(ArithmeticError):
+    def test_skewed_determinant_breaks_the_palindrome(self, monkeypatch):
+        # f(2^B) + 1 moves the lowest digit c_0 by 1 and no other, since
+        # |c_0| + 1 < 2^(B-1), so c_0 != c_n after it.
+        monkeypatch.setattr(seifert, "int_det", lambda rows: int_det(rows) + 1)
+        with pytest.raises(ArithmeticError, match="palindrome"):
             alexander_polynomial(theta(2))
+
+    def test_value_past_the_bound_leaves_digits_over(self, monkeypatch):
+        # f(2^B) + 2^(B*(n+1)) has the same n + 1 low digits and a 1 above them.
+        V = theta(2)
+        past = 1 << seifert._digit_bits(V) * (V.size + 1)
+        monkeypatch.setattr(seifert, "int_det", lambda rows: int_det(rows) + past)
+        with pytest.raises(ArithmeticError, match="left over"):
+            alexander_polynomial(V)
+
+    def test_decode_checks_raise_under_optimization(self):
+        proc = run_python("-O", "-c", (
+            "from knotfog import seifert\n"
+            "V = seifert.theta(2)\n"
+            "det = seifert.int_det\n"
+            "for skew in (1, 1 << seifert._digit_bits(V) * (V.size + 1)):\n"
+            "    seifert.int_det = lambda rows: det(rows) + skew\n"
+            "    try:\n"
+            "        seifert.alexander_polynomial(V)\n"
+            "    except ArithmeticError:\n"
+            "        print('raised')\n"))
+        assert (proc.returncode, proc.stdout) == (0, "raised\nraised\n"), proc.stderr
+
+    def test_loads_no_fractions(self):
+        # the route is integers only: one determinant and a digit loop
+        proc = run_python("-c", (
+            "import sys\n"
+            "from knotfog.seifert import (SeifertMatrix, alexander_polynomial, change_basis,\n"
+            "                             random_symplectic, theta)\n"
+            "alexander_polynomial(theta(5))\n"
+            "V = SeifertMatrix([[(i * 7 + j * 3) % 5 - 2 for j in range(6)] for i in range(6)])\n"
+            "alexander_polynomial(change_basis(V, random_symplectic(3, seed=7, length=6)))\n"
+            "print('fractions' in sys.modules)\n"))
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def random_matrix(rng: random.Random, n: int, shape: str) -> list[list[int]]:
@@ -158,22 +187,41 @@ def poly_key(p: LaurentPoly) -> tuple:
     return p.min_degree, p.coeffs
 
 
+def hadamard_square(V: SeifertMatrix) -> int:
+    """R^2 = prod_i sum_j (|V_ij| + |V_ji|)^2, straight from its definition."""
+    n, m = V.size, V.entries
+    return math.prod(sum((abs(m[i][j]) + abs(m[j][i])) ** 2 for j in range(n)) for i in range(n))
+
+
+def assert_matches_oracle(V: SeifertMatrix, expected: LaurentPoly) -> None:
+    """The routine returns exactly `expected`, whose coefficients obey
+    Parseval's |c| <= R and lie in the digit window |c| < 2^(B-1)."""
+    square, window = hadamard_square(V), 1 << seifert._digit_bits(V) - 1
+    assert all(c * c <= square and abs(c) < window for c in expected.coeffs), V
+    assert poly_key(alexander_polynomial(V)) == poly_key(expected), V
+
+
 class TestAgainstTheOracle:
-    """The g + 1 sparse-aware determinants give exactly what the n + 1
-    dense ones of `seifert_oracle` give."""
+    """The one determinant at t = 2^B gives exactly what the n + 1 dense
+    ones of `seifert_oracle` give, and the oracle's coefficients lie
+    within the bound that B is read from."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_random_matrices(self, shape):
         rng = random.Random(f"seifert-oracle:{shape}")
         for _ in range(120):
             V = SeifertMatrix(random_matrix(rng, rng.choice(range(0, 13, 2)), shape))
-            assert poly_key(alexander_polynomial(V)) == \
-                poly_key(seifert_oracle.alexander_polynomial(V)), V
+            assert_matches_oracle(V, seifert_oracle.alexander_polynomial(V))
 
     def test_theta_family(self):
         for n in range(1, 21):
-            assert poly_key(alexander_polynomial(theta(n))) == \
-                poly_key(seifert_oracle.alexander_polynomial(theta(n))), n
+            assert_matches_oracle(theta(n), seifert_oracle.alexander_polynomial(theta(n)))
+
+    def test_theta_family_closed_form_to_64(self):
+        # det(V - t*V^T) = (-2 + 5t - 2t^2)^n, which test_theta_family
+        # confirms against the dense oracle up to n = 20
+        for n in range(1, 65):
+            assert_matches_oracle(theta(n), BASE ** n)
 
     def test_moved_standard_matrices(self):
         rng = random.Random(9001)
@@ -181,8 +229,29 @@ class TestAgainstTheOracle:
             for _ in range(3):
                 P = random_symplectic(g, seed=rng.randrange(10 ** 6), length=rng.randint(g, 2 * g))
                 V = change_basis(_random_standard(rng, g), P)
-                assert poly_key(alexander_polynomial(V)) == \
-                    poly_key(seifert_oracle.alexander_polynomial(V)), V
+                assert_matches_oracle(V, seifert_oracle.alexander_polynomial(V))
+
+    def test_bound_is_near_tight(self):
+        # V = diag(m_1*J, ..., m_k*J) with J = [[0, 1], [-1, 0]]: each block
+        # gives m^2 (1 + t)^2 with R = 4m^2, so R / max|c| = 4^k / C(2k, k),
+        # about sqrt(pi*k): R^2 <= 2n * max|c|^2 for n = 2k, equal at k = 1.
+        # And the digit window is at most twice R: 2^(B-2) <= isqrt(R^2) + 1.
+        rng = random.Random(5151)
+        for k in range(1, 25):
+            ms = [rng.randint(1, 9) for _ in range(k)]
+            n = 2 * k
+            rows = [[0] * n for _ in range(n)]
+            for b, m in enumerate(ms):
+                rows[2 * b][2 * b + 1], rows[2 * b + 1][2 * b] = m, -m
+            V = SeifertMatrix(rows)
+            scale = math.prod(ms) ** 2
+            expected = LaurentPoly(0, tuple(scale * math.comb(n, j) for j in range(n + 1)))
+            if k <= 6:
+                assert poly_key(seifert_oracle.alexander_polynomial(V)) == poly_key(expected)
+            assert_matches_oracle(V, expected)
+            square, top = hadamard_square(V), max(expected.coeffs)
+            assert top * top <= square <= 2 * n * top * top, k
+            assert 1 << seifert._digit_bits(V) - 2 <= math.isqrt(square) + 1, k
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_int_det(self, shape):
@@ -200,6 +269,14 @@ class TestSeifertMatrixType:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             SeifertMatrix(((1, 2), (3, 4), (5, 6)))
+
+    @pytest.mark.parametrize("bad", (0.9, 1.0, "3", Fraction(7, 2), True, None))
+    def test_rejects_entries_that_are_not_integers(self, bad):
+        # once truncated by int(): [[0.9, 1.7], [0, 0]] became [[0, 1], [0, 0]]
+        for cls, what in ((SeifertMatrix, "Seifert matrix"), (BasisChange, "basis change")):
+            with pytest.raises(ValueError, match=re.escape(f"{what} entry must be an integer, "
+                                                           f"got {bad!r}")):
+                cls(((1, bad), (0, 1)))
 
     def test_genus_is_half_size(self):
         assert theta(3).genus == 3
