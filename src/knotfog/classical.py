@@ -6,30 +6,34 @@ knots that are neither torus nor cable knots), and triviality.  Every
 rule is either an exact closed form for a node type or a conservative
 interval; nothing is ever guessed.
 
-The satellite genus bound used throughout is Schubert's inequality:
-a satellite with winding number w, companion C and pattern P satisfies
-g >= |w|*g(C) + g(P).
+Schubert's inequality, the satellite genus bound: a satellite with
+winding number w, companion C and pattern P satisfies
+g >= |w|*g(C) + g(P).  `schubert_bound` evaluates it for users of the
+public API; no rule here calls it.  It is used in one place, the proof
+of `firstorder.min_basis_bound`, which applies it inline to every
+basis curve.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .frozen import Frozen
+from .frozen import Frozen, integer
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
                        Unknot, Wh0, builtin_flags, fold, render)
 from .laurent import ONE, LaurentPoly
 
 
 class IntInterval(Frozen):
-    """Integer interval [lo, hi]; hi=None means unbounded above."""
+    """Integer interval [lo, hi]; hi=None means unbounded above.  Each bound
+    given must be an int (not a bool)."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int | None):
-        if lo < 0:
+        if integer(lo, "interval lower bound") < 0:
             raise ValueError(f"interval lower bound must be nonnegative, got {lo}")
-        if hi is not None and lo > hi:
+        if hi is not None and lo > integer(hi, "interval upper bound"):
             raise ValueError(f"empty interval [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)

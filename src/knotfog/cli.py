@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import classical, firstorder
 from .classical import KnotFacts
 from .firstorder import FirstOrderResult
-from .knotlang import Kfam, ParseError, Wh0, fold, parse, render
+from .knotlang import Kfam, KnotExpr, ParseError, Wh0, fold, parse, render
 
 
 class Report(NamedTuple):
@@ -43,7 +43,11 @@ class Report(NamedTuple):
 
 
 def build_report(text: str) -> Report:
-    expr = parse(text)
+    return report(parse(text))
+
+
+def report(expr: KnotExpr) -> Report:
+    """The report on one expression, from one `fold(expr, firstorder.step)`."""
     facts, lo, hi = fold(expr, firstorder.step)
     return Report(
         expression=render(expr),
@@ -83,15 +87,14 @@ def family_table(n_max: int) -> str:
     rows = [_FAMILY_HEADER]
     seen: list[int] = []
     for n in range(1, n_max + 1):
-        e = Wh0(Kfam(n))
-        node, lo, hi = fold(e, firstorder.step)
-        facts, fog = classical.knot_facts(e, node), firstorder.first_order_result(lo, hi)
+        answer = report(Wh0(Kfam(n)))
+        facts, fog = answer.facts, answer.fog
         assert fog.interval.is_point(), f"family row {n} has an open interval"
         assert facts.genus == classical.IntInterval.point(1)
         assert facts.alexander is not None and facts.alexander.is_one()
         assert str(facts.slice) == "yes"
         seen.append(fog.lo)
-        rows.append((render(e), str(facts.genus.lo), str(facts.alexander),
+        rows.append((answer.expression, str(facts.genus.lo), str(facts.alexander),
                      str(facts.slice), str(fog.lo), str(fog.hi)))
     assert len(set(seen)) == len(seen), f"family g1 values not pairwise distinct: {seen}"
     widths = [max(len(row[i]) for row in rows) for i in range(len(_FAMILY_HEADER))]
@@ -122,14 +125,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "invariants":
         try:
-            report = build_report(args.expression)
+            answer = build_report(args.expression)
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
         if args.json:
             import json  # only here, so a table report never imports it
         try:
-            text = json.dumps(report.to_json(), indent=2) if args.json else render_report(report)
+            text = json.dumps(answer.to_json(), indent=2) if args.json else render_report(answer)
         except ValueError:  # CPython's limit on int-to-str conversion
             print(f"error: the answer has an integer of more than {sys.get_int_max_str_digits()}"
                   " digits, past the interpreter's limit for printing one", file=sys.stderr)

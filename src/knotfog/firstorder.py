@@ -30,18 +30,20 @@ import functools
 from typing import NamedTuple
 
 from .classical import IntInterval, NodeFacts, node_facts
-from .frozen import Frozen
+from .frozen import Frozen, integer
 from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, fold
 
 
 class WeakGropeCertificate(Frozen):
-    """First-stage genus g plus the 2g second-stage genera, in basis order."""
+    """First-stage genus g plus the 2g second-stage genera, in basis order;
+    every genus must be an int (not a bool)."""
 
     __slots__ = ("first_stage_genus", "second_stage_genera")
 
     def __init__(self, first_stage_genus: int, second_stage_genera: tuple[int, ...]):
-        if first_stage_genus < 1:
+        if integer(first_stage_genus, "first stage genus") < 1:
             raise ValueError(f"first stage genus must be >= 1, got {first_stage_genus}")
+        second_stage_genera = tuple(integer(g, "second-stage genus") for g in second_stage_genera)
         if len(second_stage_genera) != 2 * first_stage_genus:
             raise ValueError(
                 f"expected {2 * first_stage_genus} second-stage genera, "
@@ -88,14 +90,16 @@ def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
 
 
 class BasisWitness(Frozen):
-    """A basis change x = p*a + q*b, y = r*a + s*b realizing the minimum."""
+    """A basis change x = p*a + q*b, y = r*a + s*b realizing the minimum;
+    all five fields are ints (not bools)."""
 
     __slots__ = ("p", "q", "r", "s", "value")
 
     def __init__(self, p: int, q: int, r: int, s: int, value: int):
+        fields = [integer(x, f"witness {name}") for name, x in zip(self.__slots__, (p, q, r, s, value))]
         if p * s - q * r != 1:
             raise ValueError("witness must have determinant 1")
-        for name, field in zip(self.__slots__, (p, q, r, s, value)):
+        for name, field in zip(self.__slots__, fields):
             object.__setattr__(self, name, field)
 
 
@@ -130,8 +134,9 @@ class FirstOrderResult(NamedTuple):
 
 
 # The cache no longer saves time; it stays because perfbench's tracer
-# times this function as `min_basis_bound.__wrapped__`.
-@functools.lru_cache(maxsize=None)
+# times this function as `min_basis_bound.__wrapped__`.  It is typed, so
+# a cached (1, 0) cannot answer (True, 0).
+@functools.lru_cache(maxsize=None, typed=True)
 def min_basis_bound(g_alpha: int, g_beta: int) -> tuple[int, BasisWitness]:
     """Exact minimum of the per-basis lower bound over all unimodular bases.
 
@@ -153,10 +158,11 @@ def min_basis_bound(g_alpha: int, g_beta: int) -> tuple[int, BasisWitness]:
     The witness is the minimizer with lexicographically smallest
     (|p|, |q|, |r|, |s|, p, q, r, s): p = 0 forces q*r = -1, hence
     |q| = |r| = 1; s = 0 attains the bound; and q = -1 precedes q = 1.
+    Both genera must be ints (not bools).
     """
-    if g_alpha < 1:
+    if integer(g_alpha, "first companion genus") < 1:
         raise ValueError(f"first companion genus must be >= 1, got {g_alpha}")
-    if g_beta < 0:
+    if integer(g_beta, "second companion genus") < 0:
         raise ValueError(f"second companion genus must be >= 0, got {g_beta}")
     value = g_alpha + max(1, g_beta)
     return value, BasisWitness(0, -1, 1, 0, value)
@@ -187,7 +193,7 @@ def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     """Certified interval for the first-order genus, with provenance.
 
     A guard that is not established disables its rule and becomes one of
-    `NodeFacts.warnings`.  `cli.build_report` folds `step` itself.
+    `NodeFacts.warnings`.  `cli.report` folds `step` itself.
     """
     _, lo, hi = fold(e, step)
     return first_order_result(lo, hi)

@@ -4,7 +4,8 @@ A Seifert matrix is a square integer matrix of even size 2g recording
 linking numbers of pushed-off basis curves on a genus-g spanning
 surface.  This module provides:
 
-* the banded matrices of the ribbon pretzel family (``theta``),
+* the tridiagonal matrices of the ribbon pretzel family (``theta``),
+  built from their two diagonals,
 * the Alexander polynomial f(t) = det(V - t*V^T), read exactly off one
   integer determinant at t = 2^B (Kronecker substitution): Hadamard's
   inequality and Parseval's identity bound every coefficient of f below
@@ -19,8 +20,9 @@ surface.  This module provides:
 * the intersection form V - V^T and its comparison with the standard
   block form J = diag([[0,1],[-1,0]], ...),
 * congruence change of basis P*V*P^T with unimodularity checks, and
-* a seeded generator of integer symplectic matrices, used to exercise
-  congruence invariance.
+* a seeded generator of integer symplectic matrices that applies each
+  standard generator of Sp(2g, Z) to P as a row operation, used to
+  exercise congruence invariance.
 
 Basis order convention: x1, y1, x2, y2, ..., so the standard form J is
 block diagonal.
@@ -39,10 +41,13 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def _freeze(entries: Sequence[Sequence[int]], what: str) -> Rows:
-    rows = tuple(tuple(integer(x, what) for x in row) for row in entries)
+    """entries as a square tuple of int rows of even size; else a ValueError."""
+    rows = tuple(tuple(integer(x, f"{what} entry") for x in row) for row in entries)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    if n % 2:
+        raise ValueError(f"{what} must have even size, got {n}")
     return rows
 
 
@@ -52,10 +57,7 @@ class SeifertMatrix(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = _freeze(entries, "Seifert matrix entry")
-        if len(rows) % 2:
-            raise ValueError(f"Seifert matrix must have even size, got {len(rows)}")
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", _freeze(entries, "Seifert matrix"))
 
     @property
     def size(self) -> int:
@@ -80,9 +82,7 @@ class BasisChange(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = _freeze(entries, "basis change entry")
-        if len(rows) % 2:
-            raise ValueError(f"basis change must have even size, got {len(rows)}")
+        rows = _freeze(entries, "basis change")
         d = int_det(rows)
         if d not in (1, -1):
             raise ValueError(f"basis change must be unimodular, det = {d}")
@@ -284,74 +284,52 @@ def _mat_mul(a: Rows, b: Rows) -> Rows:
 def theta(n: int) -> SeifertMatrix:
     """Seifert matrix of the genus-n surface of the ribbon pretzel family.
 
-    Size 2n, built from the two repeating row templates: even rows carry
-    (-2, ., 2) around the diagonal, odd rows carry (1, ., -1).
+    Size 2n and tridiagonal with a zero diagonal: the superdiagonal reads
+    (2, -1, 2, -1, ..., 2) and the subdiagonal (1, -2, 1, -2, ..., 1).
+    n must be an int (not a bool) and at least 1.
 
     >>> theta(1).entries
     ((0, 2), (1, 0))
     """
-    if n < 1:
+    if integer(n, "theta n") < 1:
         raise ValueError(f"theta requires n >= 1, got {n}")
     size = 2 * n
     m = [[0] * size for _ in range(size)]
-    for k in range(n):
-        i = 2 * k
-        if i - 1 >= 0:
-            m[i][i - 1] = -2
-        m[i][i + 1] = 2
-        j = 2 * k + 1
-        m[j][j - 1] = 1
-        if j + 1 < size:
-            m[j][j + 1] = -1
+    for i in range(size - 1):
+        m[i][i + 1] = -1 if i % 2 else 2
+        m[i + 1][i] = -2 if i % 2 else 1
     return SeifertMatrix(m)
 
 
 # -- random symplectic matrices -------------------------------------------
 
 
-def _transvection(size: int, v: Sequence[int], J: Rows) -> Rows:
-    # x -> x + <x, v> v  with <x, v> = x^T J v; symplectic for any integer v.
-    Jv = [sum(J[i][j] * v[j] for j in range(size)) for i in range(size)]
-    return tuple(
-        tuple((1 if i == j else 0) + v[i] * Jv[j] for j in range(size))
-        for i in range(size)
-    )
-
-
-def _block_swap(g: int, a: int, b: int) -> Rows:
-    perm = list(range(2 * g))
-    perm[2 * a], perm[2 * b] = perm[2 * b], perm[2 * a]
-    perm[2 * a + 1], perm[2 * b + 1] = perm[2 * b + 1], perm[2 * a + 1]
-    return tuple(
-        tuple(1 if perm[i] == j else 0 for j in range(2 * g)) for i in range(2 * g)
-    )
-
-
-def _block_rotation(g: int, a: int) -> Rows:
-    m = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
-    m[2 * a][2 * a] = 0
-    m[2 * a][2 * a + 1] = 1
-    m[2 * a + 1][2 * a] = -1
-    m[2 * a + 1][2 * a + 1] = 0
-    return tuple(tuple(row) for row in m)
-
-
 def random_symplectic(g: int, seed: int, length: int) -> BasisChange:
     """Product of `length` standard symplectic generators chosen from `seed`.
 
-    Generators: symplectic transvections along short integer vectors,
-    swaps of (x_i, y_i) pairs, and rotations within one pair.  Every
-    factor preserves the standard form J exactly, so the product always
-    satisfies P*J*P^T = J; length 0 gives the identity.
+    Generators (Hua and Reiner, Trans. AMS 65, 1949), each applied to P
+    from the left as a row operation, so P becomes G*P:
+
+    * the transvection x -> x + <x, v> v along a short integer vector v,
+      with <x, v> = x^T J v: G = I + v (Jv)^T, so with w = (Jv)^T P every
+      row r gains v_r * w, where (Jv)_(2k) = v_(2k+1) and
+      (Jv)_(2k+1) = -v_(2k);
+    * the swap of the pairs (x_a, y_a) and (x_b, y_b): rows 2a, 2a+1
+      trade places with rows 2b, 2b+1;
+    * the rotation x_a -> y_a, y_a -> -x_a within one pair: rows
+      (2a, 2a+1) become (row 2a+1, -row 2a).
+
+    Every generator preserves the standard form J exactly, so the product
+    always satisfies P*J*P^T = J; length 0 gives the identity.  g and
+    length must be ints (not bools).
     """
-    if g < 1:
+    if integer(g, "random_symplectic g") < 1:
         raise ValueError(f"random_symplectic requires g >= 1, got {g}")
-    if length < 0:
+    if integer(length, "random_symplectic length") < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     rng = random.Random(seed)
     size = 2 * g
-    J = standard_form(g)
-    P = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+    P = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0 or (kind == 1 and g < 2):
@@ -362,11 +340,15 @@ def random_symplectic(g: int, seed: int, length: int) -> BasisChange:
                 j = rng.randrange(size)
                 if j != i:
                     v[j] = rng.choice((1, -1))
-            gen = _transvection(size, v, J)
+            Jv = [x for k in range(0, size, 2) for x in (v[k + 1], -v[k])]
+            w = [sum(c * x for c, x in zip(Jv, col)) for col in zip(*P)]
+            for r, c in enumerate(v):
+                if c:
+                    P[r] = [a + c * b for a, b in zip(P[r], w)]
         elif kind == 1:
-            a, b = rng.sample(range(g), 2)
-            gen = _block_swap(g, a, b)
+            a, b = (2 * k for k in rng.sample(range(g), 2))
+            P[a], P[a + 1], P[b], P[b + 1] = P[b], P[b + 1], P[a], P[a + 1]
         else:
-            gen = _block_rotation(g, rng.randrange(g))
-        P = _mat_mul(gen, P)
+            a = 2 * rng.randrange(g)
+            P[a], P[a + 1] = P[a + 1], [-x for x in P[a]]
     return BasisChange(P)

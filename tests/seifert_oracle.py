@@ -1,10 +1,14 @@
 """`seifert.int_det` and `seifert.alexander_polynomial` as they were before
-the row-skipping elimination and the palindromic sampling, kept as the
-differential oracle for the Seifert tests.
+the row-skipping elimination and the palindromic sampling, and
+`seifert.theta` and `seifert.random_symplectic` as they were before the
+diagonals and the row operations, kept as the differential oracle for the
+Seifert tests.
 
 The determinant is dense Bareiss elimination, every row rescaled at every
 step; the polynomial is Newton's forward differences over the n + 1
-samples x = 0, 1, ..., n, for V of size n.  Both are kept as they were,
+samples x = 0, 1, ..., n, for V of size n.  `theta` fills each row from
+its parity's template, and `random_symplectic` builds every generator as
+a full matrix and multiplies it into P.  All are kept as they were,
 except that the Bareiss division check raises ArithmeticError instead of
 asserting.  The module's routines must return exactly what these return.
 """
@@ -12,9 +16,11 @@ asserting.  The module's routines must return exactly what these return.
 from __future__ import annotations
 
 import math
+import random
+from typing import Sequence
 
 from knotfog.laurent import LaurentPoly
-from knotfog.seifert import Rows, SeifertMatrix
+from knotfog.seifert import BasisChange, Rows, SeifertMatrix, standard_form
 
 
 def int_det(rows: Rows) -> int:
@@ -77,3 +83,88 @@ def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
         poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
         poly[0] += c
     return LaurentPoly(0, poly)
+
+
+def theta(n: int) -> SeifertMatrix:
+    """The pretzel family's matrix, row by row: even rows carry (-2, ., 2)
+    around the diagonal, odd rows carry (1, ., -1)."""
+    if n < 1:
+        raise ValueError(f"theta requires n >= 1, got {n}")
+    size = 2 * n
+    m = [[0] * size for _ in range(size)]
+    for k in range(n):
+        i = 2 * k
+        if i - 1 >= 0:
+            m[i][i - 1] = -2
+        m[i][i + 1] = 2
+        j = 2 * k + 1
+        m[j][j - 1] = 1
+        if j + 1 < size:
+            m[j][j + 1] = -1
+    return SeifertMatrix(m)
+
+
+def _mat_mul(a: Rows, b: Rows) -> Rows:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _transvection(size: int, v: Sequence[int], J: Rows) -> Rows:
+    # x -> x + <x, v> v  with <x, v> = x^T J v; symplectic for any integer v.
+    Jv = [sum(J[i][j] * v[j] for j in range(size)) for i in range(size)]
+    return tuple(
+        tuple((1 if i == j else 0) + v[i] * Jv[j] for j in range(size))
+        for i in range(size)
+    )
+
+
+def _block_swap(g: int, a: int, b: int) -> Rows:
+    perm = list(range(2 * g))
+    perm[2 * a], perm[2 * b] = perm[2 * b], perm[2 * a]
+    perm[2 * a + 1], perm[2 * b + 1] = perm[2 * b + 1], perm[2 * a + 1]
+    return tuple(
+        tuple(1 if perm[i] == j else 0 for j in range(2 * g)) for i in range(2 * g)
+    )
+
+
+def _block_rotation(g: int, a: int) -> Rows:
+    m = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
+    m[2 * a][2 * a] = 0
+    m[2 * a][2 * a + 1] = 1
+    m[2 * a + 1][2 * a] = -1
+    m[2 * a + 1][2 * a + 1] = 0
+    return tuple(tuple(row) for row in m)
+
+
+def random_symplectic(g: int, seed: int, length: int) -> BasisChange:
+    """Product of `length` generator matrices chosen from `seed`, each
+    multiplied into P from the left."""
+    if g < 1:
+        raise ValueError(f"random_symplectic requires g >= 1, got {g}")
+    if length < 0:
+        raise ValueError(f"length must be nonnegative, got {length}")
+    rng = random.Random(seed)
+    size = 2 * g
+    J = standard_form(g)
+    P = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0 or (kind == 1 and g < 2):
+            v = [0] * size
+            i = rng.randrange(size)
+            v[i] = rng.choice((1, -1))
+            if rng.randrange(2):
+                j = rng.randrange(size)
+                if j != i:
+                    v[j] = rng.choice((1, -1))
+            gen = _transvection(size, v, J)
+        elif kind == 1:
+            a, b = rng.sample(range(g), 2)
+            gen = _block_swap(g, a, b)
+        else:
+            gen = _block_rotation(g, rng.randrange(g))
+        P = _mat_mul(gen, P)
+    return BasisChange(P)

@@ -2,7 +2,8 @@
 
 Each criterion runs through knotfog.selftest (the same code the CLI
 `selftest` command executes) and prints one pass/fail line; run with
-`pytest -s tests/test_acceptance.py` to see them.
+`pytest -s tests/test_acceptance.py` to see them.  The suite runs once per
+module, and every test here reads that one run.
 """
 
 import pytest
@@ -18,9 +19,14 @@ BUDGETS = {
 }
 
 
+@pytest.fixture(scope="module")
+def results():
+    return selftest.run_all()
+
+
 @pytest.mark.parametrize("name", [name for name, _ in selftest.CRITERIA])
-def test_criterion(name):
-    result = selftest.run_criterion(name)
+def test_criterion(name, results):
+    result = next(r for r in results if r.name == name)
     print(f"{'PASS' if result.passed else 'FAIL'} {name} "
           f"({result.seconds:.3f}s): {result.detail}")
     assert result.passed, f"{name}: {result.detail}"
@@ -30,7 +36,6 @@ def test_criterion(name):
             f"{name} took {result.seconds:.3f}s, budget {budget}s"
 
 
-def test_whole_suite_is_quick():
-    results = selftest.run_all()
+def test_whole_suite_is_quick(results):
     assert all(r.passed for r in results)
     assert sum(r.seconds for r in results) < 10.0

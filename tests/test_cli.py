@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -319,25 +322,39 @@ class TestFamilyTable:
         assert capsys.readouterr().out == first
 
 
+class SelftestRun(NamedTuple):
+    status: int
+    out: str
+    err: str
+
+
+@pytest.fixture(scope="module")
+def selftest_runs() -> tuple[SelftestRun, SelftestRun]:
+    """Two captured `knotfog selftest` runs, shared by the tests that only read them."""
+    def run() -> SelftestRun:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(["selftest"])
+        return SelftestRun(status, out.getvalue(), err.getvalue())
+    return run(), run()
+
+
 class TestSelftestCommand:
-    def test_all_pass_and_exit_zero(self, capsys):
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
+    def test_all_pass_and_exit_zero(self, selftest_runs):
+        status, out, _ = selftest_runs[0]
+        assert status == 0
         assert out.count("PASS") == len(selftest.CRITERIA)
         assert "FAIL" not in out
         assert "9/9 criteria passed" in out
 
-    def test_timings_go_to_stderr_only(self, capsys):
-        cli.main(["selftest"])
-        captured = capsys.readouterr()
+    def test_timings_go_to_stderr_only(self, selftest_runs):
+        captured = selftest_runs[0]
         assert re.search(r"\d+\.\d+s", captured.err)
         assert not re.search(r"\d+\.\d+s", captured.out)
 
-    def test_stdout_is_deterministic(self, capsys):
-        cli.main(["selftest"])
-        first = capsys.readouterr().out
-        cli.main(["selftest"])
-        assert capsys.readouterr().out == first
+    def test_stdout_is_deterministic(self, selftest_runs):
+        first, second = selftest_runs
+        assert second.out == first.out
 
     def test_corrupted_theta_is_caught(self, monkeypatch):
         # deliberate sign-flip fault: the pretzel criterion must go red

@@ -137,6 +137,21 @@ class TestMinBasisBound:
     def test_deterministic(self):
         assert min_basis_bound(2, 3) == min_basis_bound(2, 3)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, 0), "first companion genus must be an integer, got 1.5"),
+        ((True, 0), "first companion genus must be an integer, got True"),
+        ((2, 0.0), "second companion genus must be an integer, got 0.0"),
+        ((1, False), "second companion genus must be an integer, got False"),
+    ])
+    def test_rejects_genera_that_are_not_integers(self, args, message):
+        # min_basis_bound(1.5, 0) once returned 2.5; the cache is typed, so a
+        # cached (1, 0) cannot answer (True, 0)
+        min_basis_bound(1, 0)
+        min_basis_bound(2, 0)
+        with pytest.raises(ValueError) as exc:
+            min_basis_bound(*args)
+        assert str(exc.value) == message
+
     def test_witness_requires_determinant_one(self):
         with pytest.raises(ValueError):
             BasisWitness(1, 0, 0, -1, 2)

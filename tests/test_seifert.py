@@ -68,6 +68,16 @@ class TestTheta:
     def test_deterministic(self):
         assert theta(4) == theta(4)
 
+    def test_equals_the_oracle_to_64(self):
+        for n in range(1, 65):
+            assert theta(n).entries == seifert_oracle.theta(n).entries, n
+
+    @pytest.mark.parametrize("bad", (2.0, True, "2", None))
+    def test_rejects_n_that_is_not_an_integer(self, bad):
+        # theta(True) once returned theta(1); theta(2.0) raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"theta n must be an integer, got {bad!r}")):
+            theta(bad)
+
 
 class TestAlexander:
     def test_theta1(self):
@@ -377,6 +387,24 @@ class TestRandomSymplectic:
             random_symplectic(0, 1, 1)
         with pytest.raises(ValueError):
             random_symplectic(1, 1, -1)
+
+    @pytest.mark.parametrize("bad", (2.0, True, "2"))
+    def test_rejects_g_and_length_that_are_not_integers(self, bad):
+        # random_symplectic(2.0, 1, 3) once raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"random_symplectic g must be an integer, "
+                                                       f"got {bad!r}")):
+            random_symplectic(bad, 1, 3)
+        with pytest.raises(ValueError, match=re.escape(f"random_symplectic length must be an "
+                                                       f"integer, got {bad!r}")):
+            random_symplectic(2, 1, bad)
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_equals_the_oracle(self, g):
+        # pins every generator and the order of every draw from the seed
+        for seed in range(40):
+            for length in (0, 1, 3, 8, 18):
+                assert (random_symplectic(g, seed, length).entries
+                        == seifert_oracle.random_symplectic(g, seed, length).entries), (seed, length)
 
 
 class TestCongruenceInvariance:

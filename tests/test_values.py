@@ -150,6 +150,13 @@ class TestConstruction:
     (lambda: WeakGropeCertificate(1, (1,)), "expected 2 second-stage genera, got 1"),
     (lambda: WeakGropeCertificate(1, (1, -1)), "second-stage genera must be nonnegative"),
     (lambda: BasisWitness(1, 0, 0, 2, 0), "witness must have determinant 1"),
+    (lambda: IntInterval(0.5, 1), "interval lower bound must be an integer, got 0.5"),
+    (lambda: IntInterval(True, None), "interval lower bound must be an integer, got True"),
+    (lambda: IntInterval(0, 1.0), "interval upper bound must be an integer, got 1.0"),
+    (lambda: WeakGropeCertificate(1.0, (1, 1)), "first stage genus must be an integer, got 1.0"),
+    (lambda: WeakGropeCertificate(1, (1, True)), "second-stage genus must be an integer, got True"),
+    (lambda: BasisWitness(0.0, -1, 1, 0, 2), "witness p must be an integer, got 0.0"),
+    (lambda: BasisWitness(0, -1, 1, 0, 2.5), "witness value must be an integer, got 2.5"),
     (lambda: Kfam(0), "kfam requires n >= 1, got 0"),
     (lambda: Kfam(4097), "kfam requires n <= 4096, got 4097"),
     (lambda: Wh0(Fig8(), "x"), "clasp must be '+' or '-', got 'x'"),
