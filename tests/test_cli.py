@@ -1,5 +1,7 @@
 import contextlib
+import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -11,6 +13,7 @@ from typing import NamedTuple
 
 import pytest
 
+import cli_oracle
 import knotfog
 from knotfog import cli, selftest
 from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, KFAM_MAX
@@ -408,19 +411,125 @@ class TestSelftestCommand:
     def test_reports_import_only_what_they_use(self, flags, loaded):
         # every cold `invariants` process pays for each module it imports
         code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
-                "print(status, *[m for m in ('dataclasses', 'fractions', 'json', "
-                "'knotfog.selftest') if m in sys.modules], file=sys.stderr)")
+                "print(status, *[m for m in ('argparse', 'dataclasses', 'fractions', "
+                "'gettext', 'json', 'knotfog.seifert', 'knotfog.selftest', 'locale') "
+                "if m in sys.modules], file=sys.stderr)")
         text = "trefoil # kfam(2) # ksat(fig8, fig8, 1, 2) # wh0(fig8) # unknot"
         proc = run_python("-c", code, "invariants", text, *flags)
         assert proc.stderr.split() == ["0", *loaded]
 
     def test_no_source_imports_dataclasses(self):
+        # nor argparse, which `cli.read_argv` replaces
         sources = sorted(Path(knotfog.__file__).parent.glob("*.py"))
         assert sources
         for path in sources:
-            assert not re.search(r"^\s*(import|from) dataclasses\b", path.read_text(), re.M), path
+            text = path.read_text()
+            assert not re.search(r"^\s*(import|from) (dataclasses|argparse)\b", text, re.M), path
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+def argv_outcome(read, argv: list[str]) -> tuple:
+    """What one reading of argv gives: its fields, or its exit status; and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = ("fields", vars(read(list(argv))))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (*result, out.getvalue(), err.getvalue())
+
+
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"],
+    ["invariants"], ["invariants", "-h"], ["invariants", "trefoil", "extra"],
+    ["invariants", "-x"], ["invariants", "-x", "trefoil"], ["invariants", "-5"],
+    ["invariants", "--", "-x"], ["invariants", "--js", "trefoil"],
+    ["invariants", "trefoil", "--json", "--json"],
+    ["family-table"], ["family-table", "-h"], ["family-table", "--n"],
+    ["family-table", "--n", "x"], ["family-table", "--n=3"], ["family-table", "--n", "0"],
+    ["family-table", "--n", "13"], ["family-table", "--n", "3", "--n", "4"],
+    ["selftest", "x"], ["bogus"], ["--json"],
+]
+
+# Arguments that reach every branch of argparse's reading of an argument:
+# prefixes with and without `=`, text glued to -h, `--`, negative numbers,
+# spaces, and int()'s reading of K.
+ARGV_TOKENS = ["invariants", "family-table", "selftest", "trefoil", "", "-", "--", "-5",
+               "-.5", "-h", "-hh", "-hx", "-h=", "--he", "--help=x", "--j", "--json=",
+               "--n", "--n=4", "--=x", "-x", "--x", "a b", " 3", "1_2", "\u0663", "13"]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the reader reproduces Python 3.11's argparse")
+class TestArgvReader:
+    """`cli.read_argv` against the argparse front end it replaced (`cli_oracle`)."""
+
+    @pytest.fixture(autouse=True)
+    def eighty_columns(self, monkeypatch):
+        # argparse wraps help to the terminal; the reader's texts are fixed at 80
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_corpus(self, argv):
+        assert argv_outcome(cli.read_argv, argv) == argv_outcome(cli_oracle.read, argv)
+
+    def test_every_short_line_from_the_tokens(self):
+        lines = [list(line) for size in range(3) for line in itertools.product(ARGV_TOKENS, repeat=size)]
+        lines += [[command, *line] for command in ("invariants", "family-table", "selftest")
+                  for line in itertools.product(ARGV_TOKENS, repeat=2)]
+        differ = [argv for argv in lines
+                  if argv_outcome(cli.read_argv, argv) != argv_outcome(cli_oracle.read, argv)]
+        assert differ == []
+
+
+class TestLazyExports:
+    def test_import_loads_no_submodule(self):
+        # yet dir() lists every exported name, as when they were imported eagerly
+        code = ("import sys, knotfog; "
+                "print(sorted(m for m in sys.modules if m.startswith('knotfog.')), "
+                "set(knotfog.__all__) <= set(dir(knotfog)))")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "[] True\n"
+
+    def test_star_import_binds_each_name_from_its_home_module(self):
+        namespace: dict = {}
+        exec("from knotfog import *", namespace)
+        for name in knotfog.__all__:
+            home = importlib.import_module(f"knotfog.{knotfog._EXPORTS[name]}")
+            assert namespace[name] is getattr(home, name) is getattr(knotfog, name), name
+        assert knotfog.theta is knotfog.seifert.theta
+
+    def test_public_names_are_unchanged(self):
+        assert knotfog.__all__ == [
+            "Atom", "BasisChange", "BasisWitness", "BoundRecord", "CertificateCheck",
+            "Fig8", "FirstOrderResult", "IntInterval", "Kfam", "KnotExpr", "KnotFacts",
+            "Ksat", "LaurentPoly", "ONE", "ParseError", "Provenance", "SeifertMatrix",
+            "Sum", "T", "Trefoil", "TriState", "Unknot", "WeakGropeCertificate", "Wh0",
+            "ZERO",
+            "alexander_of", "alexander_polynomial", "change_basis", "check_certificate",
+            "class_r_of", "facts_of", "first_order_genus", "genus_of",
+            "intersection_form", "min_basis_bound", "parse", "random_expr",
+            "random_symplectic", "render", "satellite_of_first", "schubert_bound",
+            "slice_of", "standard_form", "theta", "trivial_of", "unit_equivalent",
+            "validate",
+        ]
+
+    def test_submodules_still_import_by_name(self):
+        # `from knotfog import seifert` falls back to the submodule only
+        # when the package's __getattr__ raises AttributeError
+        code = ("from knotfog import seifert, cli; import knotfog; "
+                "print(seifert.__name__, cli.__name__, knotfog.cli is cli)")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "knotfog.seifert knotfog.cli True\n"
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            knotfog.nope  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from knotfog import nope", {})
