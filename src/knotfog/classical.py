@@ -4,14 +4,14 @@ Derives, with per-rule provenance: a genus interval, the Alexander
 polynomial, a sliceness tri-state, membership in class R (nontrivial
 knots that are neither torus nor cable knots), and triviality.  Every
 rule is either an exact closed form for a node type or a conservative
-interval; nothing is ever guessed.
+interval; nothing is ever guessed.  One fold step, `node_facts`, gives
+each fact its value and rule id; the Alexander fact is the `#` spine's
+multiset of genus-one factors, multiplied out once by `knot_facts`.
 
-Schubert's inequality, the satellite genus bound: a satellite with
-winding number w, companion C and pattern P satisfies
-g >= |w|*g(C) + g(P).  `schubert_bound` evaluates it for users of the
-public API; no rule here calls it.  It is used in one place, the proof
-of `firstorder.min_basis_bound`, which applies it inline to every
-basis curve.
+Schubert's inequality, the satellite genus bound g >= |w|*g(C) + g(P)
+(winding number w, companion C, pattern P), is evaluated by
+`schubert_bound` for the public API; no rule calls it.  The proof of
+`firstorder.min_basis_bound` applies it inline to every basis curve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .frozen import Frozen, integer
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
                        Unknot, Wh0, builtin_flags, fold, render)
-from .laurent import ONE, LaurentPoly
+from .laurent import LaurentPoly
 
 
 class IntInterval(Frozen):
@@ -124,14 +124,22 @@ def satellite_of_first(e: Ksat) -> TriState:
 
 
 class NodeFacts(NamedTuple):
-    """One node's classical facts.  `failed` pairs the warning of each
-    closed-form guard failing at the node with the subtree it names;
-    `warned` holds the child records under which a guard fails."""
+    """One node's classical facts; `rules` names its genus, Alexander and
+    slice rules.  The Alexander fact, the `#` spine's multiset of q_k =
+    `genus_one_alexander(k)`, takes O(1) per node: a spine leaf's
+    `factors` are its (k, e) pairs, k != 0, a `#`'s `summands` its two
+    records, and `factors` is None if an atom is on the spine.  `failed`
+    pairs the warning of each closed-form guard failing at the node with
+    the subtree it names; `warned` holds the child records under which a
+    guard fails."""
 
     genus: IntInterval
     trivial: TriState
     slice: TriState
     in_R: TriState
+    factors: tuple[tuple[int, int], ...] | None
+    summands: tuple["NodeFacts", ...]
+    rules: tuple[str, str, str]
     failed: tuple[tuple[str, KnotExpr], ...]
     warned: tuple["NodeFacts", ...]
 
@@ -154,27 +162,40 @@ class NodeFacts(NamedTuple):
 def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
     """The fold step of the facts engine, run once per distinct subtree
     by `firstorder.step`.  Every closed-form guard is evaluated here only;
-    the first-order bounds and `NodeFacts.warnings` read `failed`."""
+    the first-order bounds and `NodeFacts.warnings` read `failed`.  Each
+    rule id is chosen where its value is; no companion adds a factor."""
     torus, cable, slice_ = builtin_flags(e)  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []
+    factors: tuple[tuple[int, int], ...] | None = ()  # unknot, doubles
+    summands: tuple[NodeFacts, ...] = ()
     if isinstance(e, Unknot):
         genus, slice_ = IntInterval.point(0), TriState.YES
+        rules = "genus/unknot", "alexander/unknot", "slice/unknot"
     elif isinstance(e, (Trefoil, Fig8)):
-        genus = IntInterval.point(1)
+        genus, factors = IntInterval.point(1), ((1 if isinstance(e, Trefoil) else -1, 1),)
+        rules = "genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"
     elif isinstance(e, Kfam):
-        genus = IntInterval.point(e.n)
+        genus, factors = IntInterval.point(e.n), ((-2, e.n),)  # PRETZEL_BASE ** n
+        rules = "genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"
     elif isinstance(e, Atom):
-        genus = IntInterval.point(e.genus)
+        genus, factors = IntInterval.point(e.genus), None
+        rules = "genus/declared", "alexander/unknown", "slice/declared"
     elif isinstance(e, Sum):
         left, right = kids
         genus = left.genus + right.genus
         both = left.slice is TriState.YES and right.slice is TriState.YES
         slice_ = TriState.YES if both else TriState.UNKNOWN
+        if left.factors is None or right.factors is None:
+            factors = None
+        else:  # the multiset sum, added up by `_alexander`
+            summands = left, right
+        rules = "genus/connected-sum", "alexander/connected-sum", "slice/connected-sum"
     elif isinstance(e, Wh0):
         (companion,) = kids
         genus = (IntInterval.point(0) if companion.trivial is TriState.YES else
                  IntInterval.point(1) if companion.trivial is TriState.NO else IntInterval(0, 1))
         slice_ = TriState.YES if companion.slice is TriState.YES else TriState.UNKNOWN
+        rules = "genus/whitehead-double", "alexander/untwisted-double", "slice/double-of-slice"
         if companion.trivial is not TriState.NO:
             failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
         if builtin_flags(e.companion)[1] is not TriState.NO:
@@ -185,12 +206,14 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         # A zero framing next to a trivial knot collapses the construction;
         # a satellite of a nontrivial companion has genus exactly one.
         if of_j is TriState.NO or of_l is TriState.NO:
-            genus = IntInterval.point(0)
+            genus, genus_rule = IntInterval.point(0), "genus/satellite-unknot"
         elif (of_j is TriState.YES and j.trivial is TriState.NO) \
                 or (of_l is TriState.YES and l.trivial is TriState.NO):
-            genus = IntInterval.point(1)
+            genus, genus_rule = IntInterval.point(1), "genus/satellite-one"
         else:
-            genus = IntInterval(0, 1)
+            genus, genus_rule = IntInterval(0, 1), "genus/standard-surface"
+        factors = ((e.m * e.n, 1),) if e.m and e.n else ()
+        rules = genus_rule, "alexander/twist-model", "slice/unknown"
         for side, sub, facts in (("first", e.j, j), ("second", e.l, l)):
             if facts.in_R is not TriState.YES:
                 failed.append((f"satellite closed forms require the {side} companion in class R: ", sub))
@@ -202,7 +225,45 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
     in_r = (TriState.NO if TriState.YES in flags else
             TriState.YES if flags == (TriState.NO,) * 3 else TriState.UNKNOWN)
     warned = tuple([k for k in kids if k.failed or k.warned])
-    return NodeFacts(genus, trivial, slice_, in_r, tuple(failed), warned)
+    return NodeFacts(genus, trivial, slice_, in_r, factors, summands, rules, tuple(failed), warned)
+
+
+def _alexander(facts: NodeFacts) -> LaurentPoly | None:
+    """The canonical product of q_k^e over the spine's multiset {k: e}, or
+    None if an atom is on the spine.  Each distinct spine record is met
+    once: in topological order it passes the number of spine paths that
+    reach it on to its summands.  The largest power is one Miller pass
+    (`LaurentPoly.__pow__`), and every other factor is multiplied in one
+    copy at a time, so no two powers meet in `__mul__`.  A copy costs the
+    length times the size of the coefficients so far, so factors go
+    smallest 1-norm first."""
+    if facts.factors is None:
+        return None
+    order, seen, stack = [], set(), [(facts, False)]
+    while stack:  # post-order: summands before the sums that hold them
+        record, finished = stack.pop()
+        if finished:
+            order.append(record)
+        elif id(record) not in seen:
+            seen.add(id(record))
+            stack.append((record, True))
+            stack.extend((summand, False) for summand in record.summands)
+    paths, factors = {id(facts): 1}, {}
+    for record in reversed(order):
+        n = paths[id(record)]
+        for summand in record.summands:
+            paths[id(summand)] = paths.get(id(summand), 0) + n
+        for k, e in record.factors:
+            factors[k] = factors.get(k, 0) + n * e
+    ordered = sorted(factors.items(), key=lambda factor: 2 * abs(factor[0]) + abs(2 * factor[0] - 1))
+    top, power = max(ordered, key=lambda factor: factor[1], default=(0, 0))  # q_0^0 = 1
+    product = genus_one_alexander(top) ** power
+    for k, e in ordered:
+        if k != top:
+            q = genus_one_alexander(k)
+            for _ in range(e):
+                product = q * product  # three rows of the product's length
+    return product.canonical()
 
 
 def genus_of(e: KnotExpr) -> IntInterval:
@@ -226,35 +287,9 @@ def class_r_of(e: KnotExpr) -> TriState:
 
 
 def alexander_of(e: KnotExpr) -> LaurentPoly | None:
-    """Canonical Alexander polynomial, or None when no rule applies.
-    Polynomials multiply along the `#` spine only: a double's or a ksat's
-    polynomial comes from its own node, never from its companions.  An
-    atom anywhere on the spine answers None before anything multiplies."""
-    leaves, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack += node.right, node.left
-        elif isinstance(node, Atom):
-            return None
-        else:
-            leaves.append(node)
-    product = ONE
-    for node in leaves:
-        if isinstance(node, (Unknot, Wh0)):
-            continue  # trivial polynomial
-        elif isinstance(node, Trefoil):
-            factor = genus_one_alexander(1)
-        elif isinstance(node, Fig8):
-            factor = genus_one_alexander(-1)
-        elif isinstance(node, Kfam):
-            factor = PRETZEL_BASE ** node.n
-        elif isinstance(node, Ksat):
-            factor = genus_one_alexander(node.m * node.n)
-        else:
-            raise TypeError(f"not a KnotExpr: {node!r}")
-        product = (product * factor).canonical()
-    return product
+    """Canonical Alexander polynomial, or None when an atom is on the `#`
+    spine.  It folds the whole tree, companions' guards included."""
+    return _alexander(fold(e, node_facts))
 
 
 # -- provenance ----------------------------------------------------------------
@@ -295,36 +330,17 @@ _ANCHORS = {
     "trivial/genus": "a knot is trivial iff it has genus zero",
 }
 
-# Node type -> its genus, alexander and slice rule ids.  A ksat's genus
-# rule depends on which of its three genus intervals the node has.
-_RULES = {
-    Unknot: ("genus/unknot", "alexander/unknot", "slice/unknot"),
-    Trefoil: ("genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"),
-    Fig8: ("genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"),
-    Kfam: ("genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"),
-    Atom: ("genus/declared", "alexander/unknown", "slice/declared"),
-    Sum: ("genus/connected-sum", "alexander/connected-sum", "slice/connected-sum"),
-    Wh0: ("genus/whitehead-double", "alexander/untwisted-double", "slice/double-of-slice"),
-    Ksat: ({IntInterval.point(0): "genus/satellite-unknot",
-            IntInterval.point(1): "genus/satellite-one",
-            IntInterval(0, 1): "genus/standard-surface"},
-           "alexander/twist-model", "slice/unknown"),
-}
-
-
 def facts_of(e: KnotExpr) -> KnotFacts:
     """All classical invariants with one provenance record per fact."""
     return knot_facts(e, fold(e, node_facts))
 
 
 def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:
-    """e's classical invariants from its folded facts, with provenance."""
-    alexander = alexander_of(e)
-    genus_rule, alexander_rule, slice_rule = _RULES[type(e)]
-    if isinstance(e, Ksat):
-        genus_rule = genus_rule[facts.genus]
+    """e's classical invariants and provenance, read off its fold record
+    alone; the Alexander polynomial is built once, from its multiset."""
+    alexander = _alexander(facts)
     provenance = tuple([Provenance(fact, rule, _ANCHORS[rule]) for fact, rule in (
-        ("genus", genus_rule), ("alexander", alexander_rule), ("slice", slice_rule),
+        *zip(("genus", "alexander", "slice"), facts.rules),
         ("in_R", "class-r/definition"), ("trivial", "trivial/genus"))])
     if alexander is not None:
         assert abs(alexander.evaluate(1)) == 1, \

@@ -29,11 +29,14 @@ are one object, for every tree, and no value operation recurses.
 from __future__ import annotations
 
 import enum
-import random
 import re
 import weakref
+from typing import TYPE_CHECKING
 
 from .frozen import Frozen, integer
+
+if TYPE_CHECKING:
+    import random
 
 
 # Largest accepted kfam index.  The Alexander polynomial of kfam(n) is

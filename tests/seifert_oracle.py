@@ -11,6 +11,11 @@ its parity's template, and `random_symplectic` builds every generator as
 a full matrix and multiplies it into P.  All are kept as they were,
 except that the Bareiss division check raises ArithmeticError instead of
 asserting.  The module's routines must return exactly what these return.
+
+`spine_matrix` is an independent semantics for the classical engine's
+Alexander polynomials: a Seifert matrix for every tree, built from the
+leaves of its `#` spine.  det(V - t*V^T) of it must be the polynomial
+the engine prints; no `LaurentPoly` product or power is on that path.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 import random
 from typing import Sequence
 
+from knotfog.knotlang import Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, Unknot, Wh0
 from knotfog.laurent import LaurentPoly
 from knotfog.seifert import BasisChange, Rows, SeifertMatrix, standard_form
 
@@ -168,3 +174,42 @@ def random_symplectic(g: int, seed: int, length: int) -> BasisChange:
             gen = _block_rotation(g, rng.randrange(g))
         P = _mat_mul(gen, P)
     return BasisChange(P)
+
+
+def spine_matrix(e: KnotExpr) -> SeifertMatrix | None:
+    """The block-diagonal sum, along e's `#` spine in text order, of one
+    Seifert matrix per leaf, or None if an atom is on the spine.  A
+    connected sum's Seifert surface is the boundary sum of its summands',
+    so its matrix is the block sum.  The blocks:
+
+        [[k, 1], [0, 1]]    trefoil (k = 1) and figure-eight (k = -1)
+        [[m, 1], [0, n]]    ksat(_, _, m, n), the twist model
+        theta(n)            kfam(n)
+        [[-1, 1], [0, 0]]   an untwisted double, whose det(V - tV^T) = t
+        (none)              the unknot, which bounds a disc
+    """
+    blocks: list[Rows] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack += node.right, node.left
+        elif isinstance(node, Atom):
+            return None
+        elif isinstance(node, (Trefoil, Fig8)):
+            blocks.append(((1 if isinstance(node, Trefoil) else -1, 1), (0, 1)))
+        elif isinstance(node, Ksat):
+            blocks.append(((node.m, 1), (0, node.n)))
+        elif isinstance(node, Kfam):
+            blocks.append(theta(node.n).entries)
+        elif isinstance(node, Wh0):
+            blocks.append(((-1, 1), (0, 0)))
+        elif not isinstance(node, Unknot):
+            raise TypeError(f"not a KnotExpr: {node!r}")
+    size = sum(len(block) for block in blocks)
+    rows, offset = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append((0,) * offset + row + (0,) * (size - offset - len(row)))
+        offset += len(block)
+    return SeifertMatrix(rows)

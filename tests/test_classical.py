@@ -1,16 +1,23 @@
 import random
 import sys
+import time
 
 import pytest
 
+import facts_oracle
+import seifert_oracle
+import test_golden
+import test_knotlang
+from knotfog import cli
 from knotfog.classical import (IntInterval, PRETZEL_BASE, alexander_of,
                                class_r_of, facts_of, genus_of, genus_one_alexander,
                                satellite_of_first, schubert_bound, slice_of,
                                trivial_of)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
-                              Unknot, Wh0, parse, random_expr)
+                              Unknot, Wh0, parse, random_expr, render)
 from knotfog.laurent import LaurentPoly, ONE, unit_equivalent
-from knotfog.seifert import SeifertMatrix, alexander_polynomial, theta
+from knotfog.seifert import (SeifertMatrix, alexander_polynomial, change_basis,
+                             random_symplectic, theta)
 
 YES, NO, UNKNOWN = TriState.YES, TriState.NO, TriState.UNKNOWN
 
@@ -228,12 +235,16 @@ class TestAlexander:
         assert self.products("atom(A, genus=1) # (trefoil # (fig8 # kfam(3)))") == 0
 
     @pytest.mark.parametrize("text, count", [
-        ("trefoil # fig8 # kfam(3) # wh0(fig8) # unknot # ksat(fig8, fig8, 2, 3)", 4),
-        ("(trefoil # kfam(2)) # (fig8 # (unknot # ksat(trefoil, fig8, 1, 1)))", 4),
-        ("trefoil # wh0(atom(A, genus=1)) # kfam(2) # ksat(atom(B, genus=2), fig8, 1, 0)", 3),
+        # {-2: 3, -1: 1, 1: 1, 6: 1}: kfam(3) is the power, three products
+        ("trefoil # fig8 # kfam(3) # wh0(fig8) # unknot # ksat(fig8, fig8, 2, 3)", 3),
+        # {-2: 2, -1: 1, 1: 2}: one square, three single factors
+        ("(trefoil # kfam(2)) # (fig8 # (unknot # ksat(trefoil, fig8, 1, 1)))", 3),
+        # {-2: 2, 1: 1}: the ksat's q_0 is a unit and adds nothing
+        ("trefoil # wh0(atom(A, genus=1)) # kfam(2) # ksat(atom(B, genus=2), fig8, 1, 0)", 1),
     ])
     def test_atom_free_spine_multiplies_each_factor_once(self, text, count):
-        # one product per nontrivial spine leaf; atoms inside companions do not count
+        # the largest power is one Miller pass, and each other factor copy
+        # one product; atoms inside companions add no product
         assert self.products(text) == count
         assert alexander_of(parse(text)) is not None
 
@@ -326,3 +337,109 @@ class TestFacts:
 
     def test_unknown_alexander_serialized(self):
         assert facts_of(Atom("J", 1)).to_json()["alexander"] == "unknown"
+
+
+# Leaves of atom-free `#` chains: every factor kind, a unit q_0 and a double.
+SPINE_LEAVES = ("unknot", "trefoil", "fig8", "kfam(1)", "kfam(2)", "wh0(fig8)",
+                "wh0(atom(A, genus=2), clasp=-)", "ksat(fig8, trefoil, 1, 2)",
+                "ksat(fig8, atom(B, genus=1), 0, 3)", "ksat(trefoil, fig8, -2, 2)")
+
+
+def spine_chain(seed: int, n: int) -> str:
+    rng = random.Random(seed)
+    return " # ".join(rng.choice(SPINE_LEAVES) for _ in range(n))
+
+
+class TestAgainstTheFactsOracle:
+    """A report's facts, provenance included, equal those of the engine
+    that took rule ids from the root's type and walked the spine again."""
+
+    @staticmethod
+    def assert_same(e):
+        assert cli.report(e).facts == facts_oracle.facts_of(e), render(e)
+
+    def test_seeded_trees(self):
+        rng = random.Random(1818)
+        for i in range(3000):
+            self.assert_same(random_expr(rng, max_depth=1 + i % 7))
+
+    def test_golden_hand_picked_shapes(self):
+        for text in test_golden.HAND_PICKED:
+            self.assert_same(parse(text))
+
+    def test_shared_trees(self):
+        for e in test_knotlang.TestSharedFold().shared_trees(2024, 600):
+            self.assert_same(e)
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_atom_free_chains(self, n):
+        for seed in range(5):
+            self.assert_same(parse(spine_chain(seed, n)))
+
+    def test_pretzel_sums(self):
+        for a in range(1, 6):
+            for b in range(1, 6):
+                self.assert_same(Sum(Kfam(a), Kfam(b)))
+                self.assert_same(Sum(Sum(Kfam(a), Trefoil()), Kfam(b)))
+
+
+class TestAgainstTheSpineSeifertMatrix:
+    """det(V - t*V^T) of `seifert_oracle.spine_matrix(e)`, before and after
+    a random symplectic change of basis, is the engine's polynomial."""
+
+    @staticmethod
+    def assert_determinant_is_the_engine_polynomial(e, rng):
+        V, want = seifert_oracle.spine_matrix(e), alexander_of(e)
+        assert (V is None) == (want is None), render(e)
+        if V is None:
+            return False
+        assert alexander_polynomial(V).canonical() == want, render(e)
+        if V.size:
+            P = random_symplectic(V.genus, rng.randrange(2 ** 30), rng.randint(1, 12))
+            assert alexander_polynomial(change_basis(V, P)).canonical() == want, render(e)
+        return True
+
+    def test_seeded_trees(self):
+        rng = random.Random(2929)
+        answered = sum(self.assert_determinant_is_the_engine_polynomial(
+            random_expr(rng, max_depth=1 + i % 6), rng) for i in range(1500))
+        assert answered > 1000
+
+    def test_atom_free_chains(self):
+        rng = random.Random(3030)
+        for seed in range(10):
+            assert self.assert_determinant_is_the_engine_polynomial(
+                parse(spine_chain(seed, 12)), rng)
+
+    def test_pretzel_sums(self):
+        rng = random.Random(3131)
+        for a in range(1, 4):
+            for b in range(1, 4):
+                assert self.assert_determinant_is_the_engine_polynomial(Sum(Kfam(a), Kfam(b)), rng)
+
+
+class TestMaterialization:
+    """The root multiplies its factor multiset once: the largest power by
+    Miller's recurrence, every other factor one copy at a time."""
+
+    @pytest.mark.parametrize("text", ["kfam(300) # kfam(300)", " # ".join(["trefoil"] * 2000)],
+                             ids=["pretzel-square", "trefoil-chain"])
+    def test_long_products_answer_in_under_a_second(self, text):
+        e = parse(text)
+        start = time.perf_counter()
+        got = cli.report(e).facts.alexander
+        assert time.perf_counter() - start < 1.0
+        assert got == facts_oracle.alexander_of(e)
+
+    @pytest.mark.parametrize("tail", [" # atom(A, genus=1)", ""], ids=["atom-last", "atom-free"])
+    def test_chain_of_distinct_factors_folds_in_linear_time(self, tail):
+        # each ksat has its own k = m*n; a `#` record holds its summands'
+        # records, not a copy of their multisets, so the fold stays linear
+        e = parse(" # ".join(f"ksat(fig8, fig8, 1, {n})" for n in range(1, 5001)) + tail)
+        start = time.perf_counter()
+        got = cli.report(e).facts if tail else genus_of(e)
+        assert time.perf_counter() - start < 1.0
+        if tail:
+            assert got.alexander is None
+        else:
+            assert got == IntInterval.point(5000)

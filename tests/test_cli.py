@@ -418,6 +418,14 @@ class TestSelftestCommand:
         proc = run_python("-c", code, "invariants", text, *flags)
         assert proc.stderr.split() == ["0", *loaded]
 
+    def test_table_report_loads_no_random(self):
+        # `random` is imported only for an annotation; -S, since `site` may import it
+        code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
+                "print(status, *[m for m in ('random', 'bisect', '_random') "
+                "if m in sys.modules], file=sys.stderr)")
+        proc = run_python("-S", "-c", code, "invariants", "trefoil # kfam(2) # wh0(fig8)")
+        assert proc.stderr.split() == ["0"]
+
     def test_no_source_imports_dataclasses(self):
         # nor argparse, which `cli.read_argv` replaces
         sources = sorted(Path(knotfog.__file__).parent.glob("*.py"))
