@@ -4,15 +4,11 @@
     knotfog family-table --n <k>         the Whitehead-double family, n = 1..k
     knotfog selftest                     run the acceptance criteria
 
-`read_argv` reads the command line as Python 3.11's argparse did,
-without importing argparse and the `gettext` and `locale` modules it
-brings, which took a good share of a cold process's start.  It accepts
-`-h`/`--help` at both levels, a unique prefix of a long option (`--js`
-for `--json`), `--n=K` as well as `--n K`, `--` to end options
-(`invariants -- -x`), and a negative number such as `-5` as a
-positional; K is read by `int()`, so " 3", "1_2" and other scripts'
-decimal digits count.  Usage and help texts are argparse's for an
-80-column terminal and do not follow the terminal's width.
+argparse reads every command line except a report's: `invariants EXPR`,
+`invariants EXPR --json` and `invariants --json EXPR`, with EXPR not
+starting with "-", are read by `read_argv` itself, so that a report
+process does not import argparse and the `gettext` and `locale` modules
+it brings, which took a good share of a cold process's start.
 
 Exit codes: 0 success, 1 self-test failure, 2 usage or parse error, or
 an answer with an integer too long for the interpreter to print, 141
@@ -25,10 +21,9 @@ stderr only.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import classical, firstorder
 from .classical import KnotFacts
@@ -117,164 +112,40 @@ def family_table(n_max: int) -> str:
 
 # -- argv -----------------------------------------------------------------------
 
-# Per level (None for the top one, else a command): its options, its
-# positional argument and the values it sets when not given.
-_LEVELS = {
-    None: (("-h", "--help"), "command", {"command": None}),
-    "invariants": (("-h", "--help", "--json"), "expression", {"expression": None, "json": False}),
-    "family-table": (("-h", "--help", "--n"), None, {"n": None}),
-    "selftest": (("-h", "--help"), None, {}),
-}
-_COMMANDS = tuple(level for level in _LEVELS if level)
-
-_HELP = {
-    None: """\
-usage: knotfog [-h] {invariants,family-table,selftest} ...
-
-Exact knot invariants and certified first-order genus intervals.
-
-positional arguments:
-  {invariants,family-table,selftest}
-    invariants          invariant report for one expression
-    family-table        Whitehead doubles of the pretzel family
-    selftest            run every acceptance criterion
-
-options:
-  -h, --help            show this help message and exit
-""",
-    "invariants": """\
-usage: knotfog invariants [-h] [--json] expression
-
-positional arguments:
-  expression  e.g. 'wh0(kfam(2))' or 'trefoil # fig8'
-
-options:
-  -h, --help  show this help message and exit
-  --json      emit JSON instead of a table
-""",
-    "family-table": """\
-usage: knotfog family-table [-h] --n K
-
-options:
-  -h, --help  show this help message and exit
-  --n K       number of rows, 1..12
-""",
-    "selftest": """\
-usage: knotfog selftest [-h]
-
-options:
-  -h, --help  show this help message and exit
-""",
-}
-
-# argparse's pattern, `$` included; compiled on first use (re caches it),
-# which a report with no argument that starts with "-" never reaches
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
-
-
-def _fail(level: str | None, message: str) -> NoReturn:
-    """A usage error at one level, as argparse reports it."""
-    usage = _HELP[level].partition("\n")[0]
-    prog = "knotfog" if level is None else f"knotfog {level}"
-    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(level: str | None, arg: str) -> tuple[str | None, str | None] | None:
-    """How argparse classifies one argument before `--`: None for a
-    positional, else (option, text glued to it or None), where the option
-    is None when the level has no such option."""
-    options = _LEVELS[level][0]
-    if arg[:1] != "-":
-        return None
-    if arg in options:
-        return arg, None
-    if len(arg) == 1:
-        return None
-    head, eq, glued = arg.partition("=")
-    if eq and head in options:
-        return head, glued
-    if arg[1] == "-":  # a unique prefix of a long option stands for it
-        matches = [option for option in options if option.startswith(head)]
-        if len(matches) > 1:
-            _fail(level, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], glued if eq else None
-    elif arg[1] == "h":  # what follows -h is glued to it
-        return "-h", arg[2:]
-    if re.match(_NEGATIVE_NUMBER, arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _read_level(level: str | None, args: list[str], values: dict, extras: list[str]) -> None:
-    """Read one level's arguments into `values`; unknown ones go to `extras`."""
-    _, positional, defaults = _LEVELS[level]
-    values.update(defaults)
-    dash = args.index("--") if "--" in args else len(args)  # the rest is positional
-    kinds = [_option(level, arg) for arg in args[:dash]]
-    i = 0
-    while i < len(args):
-        option = kinds[i] if i < dash else None
-        if option:
-            name, glued = option
-            if name is None:
-                extras.append(args[i])
-            elif name == "--n":
-                if glued is None:
-                    if i + 1 == dash or kinds[i + 1]:
-                        _fail(level, "argument --n: expected one argument")
-                    i += 1
-                    glued = args[i]
-                try:
-                    values["n"] = int(glued)
-                except ValueError:
-                    _fail(level, f"argument --n: invalid int value: {glued!r}")
-            elif glued is not None and (name != "-h" or not glued or glued.lstrip("h")):
-                # -hh is -h -h; any other glued text is an error
-                unused = glued.lstrip("h") if name == "-h" else glued
-                action = "--json" if name == "--json" else "-h/--help"
-                _fail(level, f"argument {action}: ignored explicit argument {unused!r}")
-            elif name == "--json":
-                values["json"] = True
-            else:
-                sys.stdout.write(_HELP[level])
-                raise SystemExit(0)
-        elif positional and (i != dash or i + 1 < len(args)):
-            if level is None:  # the command reads the rest of the line
-                command = args[i]
-                if command not in _COMMANDS:
-                    _fail(None, f"argument command: invalid choice: {command!r} "
-                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
-                values["command"] = command
-                _read_level(command, args[i + 1:], values, extras)
-                return
-            i += i == dash  # `-- x`: the value follows the `--`
-            values[positional] = args[i]
-            i += i + 1 == dash  # `x --`: the `--` goes with the value
-            positional = None
-        else:
-            extras.append(args[i])
-        i += 1
-    if positional:
-        _fail(level, f"the following arguments are required: {positional}")
-    if level == "family-table" and values["n"] is None:
-        _fail(level, "the following arguments are required: --n")
-
 
 def read_argv(argv: list[str]) -> SimpleNamespace:
     """The parsed command line: `command` plus that command's fields.
 
-    Usage errors and help requests print what argparse printed and raise
-    SystemExit with its status (2 and 0)."""
-    values: dict = {}
-    extras: list[str] = []
-    _read_level(None, list(argv), values, extras)
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    if values["command"] == "family-table" and not 1 <= values["n"] <= 12:
-        _fail(None, f"--n must be in 1..12, got {values['n']}")
-    return SimpleNamespace(**values)
+    A report's line, `invariants EXPR` with `--json` before or after EXPR
+    or not at all, is read here, as argparse reads it when EXPR does not
+    start with "-"; every other line goes to argparse.  Usage errors and
+    help requests print argparse's output and raise SystemExit with its
+    status (2 and 0)."""
+    if argv[:1] == ["invariants"] and len(argv) in (2, 3):
+        rest = [arg for arg in argv[1:] if arg != "--json"]
+        if len(rest) == 1 and not rest[0].startswith("-"):
+            return SimpleNamespace(command="invariants", expression=rest[0], json=len(argv) == 3)
+    import argparse  # only here, so a report never imports it
+
+    parser = argparse.ArgumentParser(
+        prog="knotfog",
+        description="Exact knot invariants and certified first-order genus intervals.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = sub.add_parser("invariants", help="invariant report for one expression")
+    p_inv.add_argument("expression", help="e.g. 'wh0(kfam(2))' or 'trefoil # fig8'")
+    p_inv.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+
+    p_fam = sub.add_parser("family-table",
+                           help="Whitehead doubles of the pretzel family")
+    p_fam.add_argument("--n", type=int, required=True, metavar="K",
+                       help="number of rows, 1..12")
+
+    sub.add_parser("selftest", help="run every acceptance criterion")
+    args = parser.parse_args(argv)
+    if args.command == "family-table" and not 1 <= args.n <= 12:
+        parser.error(f"--n must be in 1..12, got {args.n}")
+    return SimpleNamespace(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

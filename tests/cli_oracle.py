@@ -1,11 +1,12 @@
-"""Oracle for `knotfog.cli.read_argv`: the argparse front end it replaced.
+"""Oracle for `knotfog.cli.read_argv`: the argparse front end alone.
 
-`knotfog.cli` reads its command line by hand, so that a CLI process does
-not import argparse.  `read` below is the previous front end, unchanged:
-the same `ArgumentParser` and the same check on the range of `--n`, which
-`main` made through the top-level parser.  It is deliberately kept apart
-from the code under test.  The hand-written reader reproduces Python
-3.11's argparse; other versions word some messages differently.
+`knotfog.cli.read_argv` reads a report's line (`invariants EXPR`, with
+`--json` before or after EXPR or not at all) by a fast path that keeps
+argparse out of a report process, and hands every other line to its own
+`ArgumentParser`.  `read` below is the reference for both paths: the
+same `ArgumentParser` and the same check on the range of `--n`, made
+through the top-level parser, run on every line.  It is deliberately
+kept apart from the code under test.
 """
 
 from __future__ import annotations

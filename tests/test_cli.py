@@ -406,16 +406,18 @@ class TestSelftestCommand:
         assert proc.returncode == 0, proc.stderr[-500:]
         assert proc.stdout == "False\n"
 
-    @pytest.mark.parametrize("flags, loaded", [((), []), (("--json",), ["json"])],
-                             ids=["table", "json"])
-    def test_reports_import_only_what_they_use(self, flags, loaded):
-        # every cold `invariants` process pays for each module it imports
+    @pytest.mark.parametrize("before, after, loaded", [
+        ((), (), []), ((), ("--json",), ["json"]), (("--json",), (), ["json"]),
+    ], ids=["table", "json", "json-first"])
+    def test_reports_import_only_what_they_use(self, before, after, loaded):
+        # every cold `invariants` process pays for each module it imports,
+        # and argparse reads none of the three report shapes
         code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
                 "print(status, *[m for m in ('argparse', 'dataclasses', 'fractions', "
                 "'gettext', 'json', 'knotfog.seifert', 'knotfog.selftest', 'locale') "
                 "if m in sys.modules], file=sys.stderr)")
         text = "trefoil # kfam(2) # ksat(fig8, fig8, 1, 2) # wh0(fig8) # unknot"
-        proc = run_python("-c", code, "invariants", text, *flags)
+        proc = run_python("-c", code, "invariants", *before, text, *after)
         assert proc.stderr.split() == ["0", *loaded]
 
     def test_table_report_loads_no_random(self):
@@ -427,12 +429,11 @@ class TestSelftestCommand:
         assert proc.stderr.split() == ["0"]
 
     def test_no_source_imports_dataclasses(self):
-        # nor argparse, which `cli.read_argv` replaces
         sources = sorted(Path(knotfog.__file__).parent.glob("*.py"))
         assert sources
         for path in sources:
             text = path.read_text()
-            assert not re.search(r"^\s*(import|from) (dataclasses|argparse)\b", text, re.M), path
+            assert not re.search(r"^\s*(import|from) dataclasses\b", text, re.M), path
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -461,25 +462,21 @@ ARGV_CORPUS = [
     ["family-table", "--n", "x"], ["family-table", "--n=3"], ["family-table", "--n", "0"],
     ["family-table", "--n", "13"], ["family-table", "--n", "3", "--n", "4"],
     ["selftest", "x"], ["bogus"], ["--json"],
+    ["invariants", ""], ["invariants", "", "--json"], ["invariants", "--json", "-"],
+    ["invariants", "--json", "--json"], ["invariants", "--json", "-5"],
 ]
 
 # Arguments that reach every branch of argparse's reading of an argument:
 # prefixes with and without `=`, text glued to -h, `--`, negative numbers,
 # spaces, and int()'s reading of K.
 ARGV_TOKENS = ["invariants", "family-table", "selftest", "trefoil", "", "-", "--", "-5",
-               "-.5", "-h", "-hh", "-hx", "-h=", "--he", "--help=x", "--j", "--json=",
+               "-.5", "-h", "-hh", "-hx", "-h=", "--he", "--help=x", "--j", "--json", "--json=",
                "--n", "--n=4", "--=x", "-x", "--x", "a b", " 3", "1_2", "\u0663", "13"]
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="the reader reproduces Python 3.11's argparse")
 class TestArgvReader:
-    """`cli.read_argv` against the argparse front end it replaced (`cli_oracle`)."""
-
-    @pytest.fixture(autouse=True)
-    def eighty_columns(self, monkeypatch):
-        # argparse wraps help to the terminal; the reader's texts are fixed at 80
-        monkeypatch.setenv("COLUMNS", "80")
+    """`cli.read_argv`, its report fast path and its argparse, against the
+    argparse front end alone (`cli_oracle`)."""
 
     @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
     def test_corpus(self, argv):
