@@ -184,18 +184,21 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         left, right = kids
         genus = left.genus + right.genus
         both = left.slice is TriState.YES and right.slice is TriState.YES
-        slice_ = TriState.YES if both else TriState.UNKNOWN
+        slice_, slice_rule = ((TriState.YES, "slice/connected-sum") if both else
+                              (TriState.UNKNOWN, "slice/unknown-sum"))
         if left.factors is None or right.factors is None:
-            factors = None
+            factors, alexander_rule = None, "alexander/unknown-summand"
         else:  # the multiset sum, added up by `_alexander`
-            summands = left, right
-        rules = "genus/connected-sum", "alexander/connected-sum", "slice/connected-sum"
+            summands, alexander_rule = (left, right), "alexander/connected-sum"
+        rules = "genus/connected-sum", alexander_rule, slice_rule
     elif isinstance(e, Wh0):
         (companion,) = kids
         genus = (IntInterval.point(0) if companion.trivial is TriState.YES else
                  IntInterval.point(1) if companion.trivial is TriState.NO else IntInterval(0, 1))
-        slice_ = TriState.YES if companion.slice is TriState.YES else TriState.UNKNOWN
-        rules = "genus/whitehead-double", "alexander/untwisted-double", "slice/double-of-slice"
+        slice_, slice_rule = ((TriState.YES, "slice/double-of-slice")
+                              if companion.slice is TriState.YES else
+                              (TriState.UNKNOWN, "slice/unknown-double"))
+        rules = "genus/whitehead-double", "alexander/untwisted-double", slice_rule
         if companion.trivial is not TriState.NO:
             failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
         if builtin_flags(e.companion)[1] is not TriState.NO:
@@ -319,6 +322,8 @@ _ANCHORS = {
         "the standard genus-one surface with band framings m, n has Seifert matrix [[m,1],[0,n]]",
     "alexander/connected-sum": "Alexander polynomials multiply under connected sum",
     "alexander/unknown": "no rule produces the polynomial of an opaque atom",
+    "alexander/unknown-summand":
+        "an atom on the connected-sum spine has an unknown polynomial, so the product is unknown",
     "slice/unknot": "the unknot is slice",
     "slice/ribbon": "the pretzel family is ribbon, and ribbon implies slice",
     "slice/curated-leaf": "curated flag: classical sliceness obstructions",
@@ -326,6 +331,10 @@ _ANCHORS = {
     "slice/double-of-slice": "the untwisted double of a smoothly slice knot is smoothly slice",
     "slice/connected-sum": "a connected sum of slice knots is slice",
     "slice/unknown": "no sliceness rule applies to the doubly-companioned construction",
+    "slice/unknown-sum":
+        "a summand is not known slice, and no rule decides the sliceness of the sum",
+    "slice/unknown-double":
+        "the companion is not known slice, and no rule decides the sliceness of its untwisted double",
     "class-r/definition": "class R consists of nontrivial knots that are neither torus nor cable knots",
     "trivial/genus": "a knot is trivial iff it has genus zero",
 }

@@ -121,15 +121,20 @@ def alexander_of(e: KnotExpr) -> LaurentPoly | None:
 
 
 # Node type -> its genus, alexander and slice rule ids.  A ksat's genus
-# rule depends on which of its three genus intervals the node has.
+# rule depends on which of its three genus intervals the node has; a
+# sum's Alexander rule on whether its polynomial is known, and a sum's or
+# a double's slice rule on its slice value.
 _RULES = {
     Unknot: ("genus/unknot", "alexander/unknot", "slice/unknot"),
     Trefoil: ("genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"),
     Fig8: ("genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"),
     Kfam: ("genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"),
     Atom: ("genus/declared", "alexander/unknown", "slice/declared"),
-    Sum: ("genus/connected-sum", "alexander/connected-sum", "slice/connected-sum"),
-    Wh0: ("genus/whitehead-double", "alexander/untwisted-double", "slice/double-of-slice"),
+    Sum: ("genus/connected-sum",
+          {True: "alexander/connected-sum", False: "alexander/unknown-summand"},
+          {TriState.YES: "slice/connected-sum", TriState.UNKNOWN: "slice/unknown-sum"}),
+    Wh0: ("genus/whitehead-double", "alexander/untwisted-double",
+          {TriState.YES: "slice/double-of-slice", TriState.UNKNOWN: "slice/unknown-double"}),
     Ksat: ({IntInterval.point(0): "genus/satellite-unknot",
             IntInterval.point(1): "genus/satellite-one",
             IntInterval(0, 1): "genus/standard-surface"},
@@ -148,6 +153,10 @@ def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:
     genus_rule, alexander_rule, slice_rule = _RULES[type(e)]
     if isinstance(e, Ksat):
         genus_rule = genus_rule[facts.genus]
+    if isinstance(e, Sum):
+        alexander_rule = alexander_rule[alexander is not None]
+    if isinstance(e, (Sum, Wh0)):
+        slice_rule = slice_rule[facts.slice]
     provenance = tuple([Provenance(fact, rule, _ANCHORS[rule]) for fact, rule in (
         ("genus", genus_rule), ("alexander", alexander_rule), ("slice", slice_rule),
         ("in_R", "class-r/definition"), ("trivial", "trivial/genus"))])

@@ -326,6 +326,18 @@ class TestFacts:
         assert by_fact["alexander"] == "alexander/pretzel-power"
         assert by_fact["slice"] == "slice/ribbon"
 
+    @pytest.mark.parametrize("text, alexander, slice_", [
+        ("trefoil # atom(A, genus=1)", "alexander/unknown-summand", "slice/unknown-sum"),
+        ("trefoil # kfam(1)", "alexander/connected-sum", "slice/unknown-sum"),
+        ("unknot # kfam(1)", "alexander/connected-sum", "slice/connected-sum"),
+        ("wh0(trefoil)", "alexander/untwisted-double", "slice/unknown-double"),
+        ("wh0(kfam(2))", "alexander/untwisted-double", "slice/double-of-slice"),
+    ])
+    def test_an_unknown_value_names_why_it_is_unknown(self, text, alexander, slice_):
+        # a rule that produces a value is named only where it did
+        by_fact = {p.fact: p.rule for p in facts_of(parse(text)).provenance}
+        assert (by_fact["alexander"], by_fact["slice"]) == (alexander, slice_)
+
     def test_json_shape(self):
         data = facts_of(Trefoil()).to_json()
         assert data["genus"] == {"lo": 1, "hi": 1}

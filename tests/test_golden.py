@@ -7,7 +7,9 @@ JSON, 0.4 MB unpacked; `zcat` shows it).  The cases are 150 seeded
 shapes, each as a table and with `--json`, plus two parse errors.  The
 file was written by `python tests/test_golden.py` against an engine
 already checked by the rest of the suite; it is the gate for refactors
-of the engines, so it is not regenerated after changing them.
+of the engines, so it is not regenerated after changing them.  A
+deliberate change of output rewrites only the cases it changes, each
+listed in CHANGES.md.
 """
 
 import contextlib
