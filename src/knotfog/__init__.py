@@ -16,7 +16,7 @@ loads only the modules its command needs.
 _EXPORTS = {
     **dict.fromkeys((
         "IntInterval", "KnotFacts", "Provenance", "alexander_of", "class_r_of",
-        "facts_of", "genus_of", "satellite_of_first", "schubert_bound", "slice_of",
+        "facts_of", "genus_of", "satellite_of_first", "slice_of",
         "trivial_of"), "classical"),
     **dict.fromkeys((
         "BasisWitness", "BoundRecord", "CertificateCheck", "FirstOrderResult",

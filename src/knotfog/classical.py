@@ -7,11 +7,6 @@ rule is either an exact closed form for a node type or a conservative
 interval; nothing is ever guessed.  One fold step, `node_facts`, gives
 each fact its value and rule id; the Alexander fact is the `#` spine's
 multiset of genus-one factors, multiplied out once by `knot_facts`.
-
-Schubert's inequality, the satellite genus bound g >= |w|*g(C) + g(P)
-(winding number w, companion C, pattern P), is evaluated by
-`schubert_bound` for the public API; no rule calls it.  The proof of
-`firstorder.min_basis_bound` applies it inline to every basis curve.
 """
 
 from __future__ import annotations
@@ -98,13 +93,6 @@ def genus_one_alexander(k: int) -> LaurentPoly:
 
 # -2t^2 + 5t - 2: the Alexander polynomial of the first pretzel-family knot.
 PRETZEL_BASE = genus_one_alexander(-2)
-
-
-def schubert_bound(winding: int, g_companion: int, g_pattern: int) -> int:
-    """Schubert's satellite lower bound |winding|*g(companion) + g(pattern)."""
-    if g_companion < 0 or g_pattern < 0:
-        raise ValueError("genera must be nonnegative")
-    return abs(winding) * g_companion + g_pattern
 
 
 def _satellite(framing: int, other_trivial: TriState) -> TriState:

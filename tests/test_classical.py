@@ -11,8 +11,7 @@ import test_knotlang
 from knotfog import cli
 from knotfog.classical import (IntInterval, PRETZEL_BASE, alexander_of,
                                class_r_of, facts_of, genus_of, genus_one_alexander,
-                               satellite_of_first, schubert_bound, slice_of,
-                               trivial_of)
+                               satellite_of_first, slice_of, trivial_of)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0, parse, random_expr, render)
 from knotfog.laurent import LaurentPoly, ONE, unit_equivalent
@@ -40,29 +39,6 @@ class TestIntInterval:
     def test_str(self):
         assert str(IntInterval(0, None)) == "[0, inf]"
         assert str(IntInterval(2, 2)) == "[2, 2]"
-
-
-class TestSchubert:
-    def test_examples(self):
-        assert schubert_bound(2, 1, 0) == 2
-        assert schubert_bound(0, 5, 3) == 3
-        assert schubert_bound(3, 2, 1) == 7
-
-    def test_winding_by_absolute_value(self):
-        assert schubert_bound(-3, 2, 1) == 7
-
-    def test_monotone_in_each_argument(self):
-        for w in range(4):
-            for gc in range(4):
-                for gp in range(4):
-                    here = schubert_bound(w, gc, gp)
-                    assert schubert_bound(w + 1, gc, gp) >= here
-                    assert schubert_bound(w, gc + 1, gp) >= here
-                    assert schubert_bound(w, gc, gp + 1) >= here
-
-    def test_rejects_negative_genus(self):
-        with pytest.raises(ValueError):
-            schubert_bound(1, -1, 0)
 
 
 class TestSatelliteDecision:

@@ -519,9 +519,8 @@ class TestLazyExports:
             "alexander_of", "alexander_polynomial", "change_basis", "check_certificate",
             "class_r_of", "facts_of", "first_order_genus", "genus_of",
             "intersection_form", "min_basis_bound", "parse", "random_expr",
-            "random_symplectic", "render", "satellite_of_first", "schubert_bound",
-            "slice_of", "standard_form", "theta", "trivial_of", "unit_equivalent",
-            "validate",
+            "random_symplectic", "render", "satellite_of_first", "slice_of",
+            "standard_form", "theta", "trivial_of", "unit_equivalent", "validate",
         ]
 
     def test_submodules_still_import_by_name(self):
