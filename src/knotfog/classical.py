@@ -11,7 +11,7 @@ multiset of genus-one factors, multiplied out once by `knot_facts`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import collections
 
 from .frozen import Frozen, integer
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
@@ -51,24 +51,20 @@ class IntInterval(Frozen):
         return {"lo": self.lo, "hi": self.hi}
 
 
-class Provenance(NamedTuple):
-    fact: str
-    rule: str
-    anchor: str
+class Provenance(collections.namedtuple("Provenance", "fact rule anchor")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"fact": self.fact, "rule": self.rule, "anchor": self.anchor}
 
 
-class KnotFacts(NamedTuple):
-    """Derived classical invariants of one expression."""
+class KnotFacts(collections.namedtuple(
+        "KnotFacts", "genus alexander slice in_R trivial provenance")):
+    """Derived classical invariants of one expression: the genus an
+    IntInterval, the Alexander polynomial a LaurentPoly or None, three
+    TriStates, and a tuple of Provenance records."""
 
-    genus: IntInterval
-    alexander: LaurentPoly | None
-    slice: TriState
-    in_R: TriState
-    trivial: TriState
-    provenance: tuple[Provenance, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +107,8 @@ def satellite_of_first(e: Ksat) -> TriState:
     return _satellite(e.n, trivial_of(e.l))
 
 
-class NodeFacts(NamedTuple):
+class NodeFacts(collections.namedtuple(
+        "NodeFacts", "genus trivial slice in_R factors summands rules failed warned")):
     """One node's classical facts; `rules` names its genus, Alexander and
     slice rules.  The Alexander fact, the `#` spine's multiset of q_k =
     `genus_one_alexander(k)`, takes O(1) per node: a spine leaf's
@@ -119,29 +116,25 @@ class NodeFacts(NamedTuple):
     records, and `factors` is None if an atom is on the spine.  `failed`
     pairs the warning of each closed-form guard failing at the node with
     the subtree it names; `warned` holds the child records under which a
-    guard fails."""
+    guard fails.  `genus` is an IntInterval, and `trivial`, `slice` and
+    `in_R` are TriStates.  The records are namedtuple subclasses, not
+    `typing.NamedTuple`s, so that a CLI process does not import `typing`."""
 
-    genus: IntInterval
-    trivial: TriState
-    slice: TriState
-    in_R: TriState
-    factors: tuple[tuple[int, int], ...] | None
-    summands: tuple["NodeFacts", ...]
-    rules: tuple[str, str, str]
-    failed: tuple[tuple[str, KnotExpr], ...]
-    warned: tuple["NodeFacts", ...]
+    __slots__ = ()
 
-    def warnings(self) -> list[str]:
-        """A warning per closed-form guard failing in the subtree, pre-order."""
+    def warnings(self, texts: dict | None = None) -> list[str]:
+        """A warning per closed-form guard failing in the subtree, pre-order.
+        Each named subtree is rendered once, through `texts`, the memo of
+        `render`; a subtree it already spells is a lookup."""
         warnings: list[str] = []
-        texts: dict[int, str] = {}  # each named subtree rendered once
+        texts = {} if texts is None else texts
         stack = [self]
         while stack:
             facts = stack.pop()
             for message, sub in facts.failed:
                 text = texts.get(id(sub))
-                if text is None:
-                    text = texts[id(sub)] = render(sub)
+                if text.__class__ is not str:  # not yet joined: `render` joins or spells it
+                    text = render(sub, texts=texts)
                 warnings.append(message + text)
             stack.extend(reversed(facts.warned))
         return warnings

@@ -20,24 +20,21 @@ stderr only.
 
 from __future__ import annotations
 
+import collections
 import os
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from . import classical, firstorder
-from .classical import KnotFacts
-from .firstorder import FirstOrderResult
 from .knotlang import Kfam, KnotExpr, ParseError, Wh0, fold, parse, render
 
 
-class Report(NamedTuple):
-    """Three readers of one `fold(expr, firstorder.step)`; no recomputation."""
+class Report(collections.namedtuple("Report", "expression facts fog warnings")):
+    """Three readers of one `fold(expr, firstorder.step)`; no recomputation.
+    `facts` is a KnotFacts, `fog` a FirstOrderResult and `warnings` a
+    tuple of strings."""
 
-    expression: str
-    facts: KnotFacts
-    fog: FirstOrderResult
-    warnings: tuple[str, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -53,13 +50,16 @@ def build_report(text: str) -> Report:
 
 
 def report(expr: KnotExpr) -> Report:
-    """The report on one expression, from one `fold(expr, firstorder.step)`."""
+    """The report on one expression, from one `fold(expr, firstorder.step)`.
+    The expression line and the warnings share one `render` memo, so each
+    subtree a warning names is spelled once; the memo lives for this call."""
     facts, lo, hi = fold(expr, firstorder.step)
+    texts: dict = {}
     return Report(
-        expression=render(expr),
+        expression=render(expr, texts=texts),
         facts=classical.knot_facts(expr, facts),
         fog=firstorder.first_order_result(lo, hi),
-        warnings=tuple(facts.warnings()),
+        warnings=tuple(facts.warnings(texts)),
     )
 
 

@@ -26,8 +26,8 @@ Unknown simply stays unknown: hi = None whenever no certificate exists.
 
 from __future__ import annotations
 
+import collections
 import functools
-from typing import NamedTuple
 
 from .classical import IntInterval, NodeFacts, node_facts
 from .frozen import Frozen, integer
@@ -59,9 +59,8 @@ class WeakGropeCertificate(Frozen):
         return sum(self.second_stage_genera)
 
 
-class CertificateCheck(NamedTuple):
-    ok: bool
-    reasons: tuple[str, ...] = ()
+class CertificateCheck(collections.namedtuple("CertificateCheck", "ok reasons", defaults=((),))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -103,22 +102,20 @@ class BasisWitness(Frozen):
             object.__setattr__(self, name, field)
 
 
-class BoundRecord(NamedTuple):
-    bound: str  # "lo" | "hi"
-    value: int
-    rule: str
-    anchor: str
+class BoundRecord(collections.namedtuple("BoundRecord", "bound value rule anchor")):
+    """One bound of a first-order interval: `bound` is "lo" or "hi"."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "value": self.value,
                 "rule": self.rule, "anchor": self.anchor}
 
 
-class FirstOrderResult(NamedTuple):
+class FirstOrderResult(collections.namedtuple("FirstOrderResult", "interval provenance")):
     """Interval for the first-order genus, one provenance record per bound."""
 
-    interval: IntInterval
-    provenance: tuple[BoundRecord, ...]
+    __slots__ = ()
 
     @property
     def lo(self) -> int:

@@ -31,10 +31,10 @@ from __future__ import annotations
 import enum
 import re
 import weakref
-from typing import TYPE_CHECKING
 
 from .frozen import Frozen, integer
 
+TYPE_CHECKING = False  # `typing` is not imported, to keep it out of a CLI process
 if TYPE_CHECKING:
     import random
 
@@ -206,10 +206,15 @@ class Sum(KnotExpr):
 # -- parser ----------------------------------------------------------------
 
 
-# One token per match: an INT with its sign, a run of word characters, or
-# any other single character; whitespace only separates tokens.  `\d` is
-# `str.isdecimal` (the digits int() reads) and `\s` is `str.isspace`.
-_TOKEN = re.compile(r"-?\d+|\w+|\S")
+# One token per match: a run of word characters that starts with no
+# decimal digit, an INT with its sign, or any other single character;
+# whitespace only separates tokens.  `\d` is `str.isdecimal` (the digits
+# int() reads) and `\s` is `str.isspace`.  This gives the tokens of
+# `-?\d+|\w+|\S`, with fewer failed attempts at a word: at a decimal digit
+# both take `-?\d+`; at any other word character both take the longest
+# run of word characters; anywhere else both take a "-" and its digits,
+# or one non-space character.
+_TOKEN = re.compile(r"[^\W\d]\w*|-?\d+|\S")
 _SPACE = re.compile(r"\s*")
 
 _LEAVES = {"unknot": Unknot, "trefoil": Trefoil, "fig8": Fig8}
@@ -358,12 +363,24 @@ def parse(text: str) -> KnotExpr:
 
     One loop reads the terms, with no recursion.  Each open "(", "wh0("
     or "ksat(" is a frame on an explicit stack: [head, ksat's first
-    operand once read, the `#` chain so far].  A term that ends joins its
-    frame's chain; unless "#" follows, the chain is the frame's operand,
-    and a closed frame is a term that ends in the frame below."""
+    operand once read, the `#` chain so far, the index of the frame's
+    first token].  A term that ends joins its frame's chain; unless "#"
+    follows, the chain is the frame's operand, and a closed frame is a
+    term that ends in the frame below.
+
+    A ksat's second operand spelled token for token as its first, up to
+    the "," that ends it, is the first operand's node, so its tokens are
+    skipped instead of read again.  This is exact: what the loop makes of
+    an operand is a function of its tokens and of the token that ends it,
+    which is the last one it reads; both operands are read at the same
+    stack depth; and the first was read without error.  So no node, error
+    or position changes.  The terminator is tested before the tokens are
+    compared, so a miss usually costs O(1) and never more than the first
+    operand's length; a token lies inside at most DEPTH_MAX first
+    operands, which bounds all comparisons by DEPTH_MAX times the tokens."""
     p = _Parser(text)
     tokens = p.tokens
-    stack: list[list] = [["", None, None]]
+    stack: list[list] = [["", None, None, 0]]
     i = 0
     while True:
         head = tokens[i]
@@ -371,7 +388,7 @@ def parse(text: str) -> KnotExpr:
             if len(stack) > DEPTH_MAX:
                 raise p.error(f"nesting is limited to {DEPTH_MAX} levels", i)
             i = i + 1 if head == "(" else p.expect("(", i + 1)
-            stack.append([head, None, None])
+            stack.append([head, None, None, i])
             continue
         term, i = p.flat(i)
         while True:
@@ -386,7 +403,11 @@ def parse(text: str) -> KnotExpr:
             if head == "ksat" and frame[1] is None:
                 frame[1], frame[2] = term, None
                 i = p.expect(",", i)
-                break
+                start = frame[3]  # the first operand is tokens[start:i - 1]
+                end = 2 * i - 1 - start  # and a copy of it would end here
+                if end >= len(tokens) or tokens[end] != "," or tokens[i:end] != tokens[start:i - 1]:
+                    break
+                i = end  # the second operand is spelled as the first: it is that node
             if head == "(":
                 i = p.expect(")", i)
             elif head == "wh0":
@@ -444,19 +465,45 @@ def _unpickle(rows: list[tuple]) -> KnotExpr:
     return nodes[-1]
 
 
-def render(e: KnotExpr, pieces=None) -> str:
+def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
     """Canonical text with defaults printed explicitly; parse(render(e)) is e.
-    pieces(node), `_pieces` by default, spells a node as strings and nodes."""
+    pieces(node), `_pieces` by default, spells a node as strings and nodes.
+
+    Each distinct subtree is spelled from its pieces once: the first time
+    it is met, its text goes to the output as pieces, and where they start
+    and end is noted in `texts`; the second time, that span is joined into
+    one string, which `texts` keeps and every later meeting reuses.  A
+    span is joined at most once and is no longer than the text it stands
+    for, so a call costs O(distinct subtrees + output).  The root's text
+    is kept in `texts` as well.  A caller may pass one `texts` to several
+    calls with the same `pieces`, as `cli.report` does for its expression
+    line and warnings; it is keyed by id, so it must not outlive the nodes.
+    Texts are not built bottom-up with `fold`: every prefix of a `#` chain
+    is a distinct subtree, so keeping each one's text would be quadratic."""
     pieces = pieces or _pieces
+    texts = {} if texts is None else texts
     out: list[str] = []
     stack: list = [e]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             out.append(item)
+        elif item.__class__ is list:  # the end of a node's first text
+            item.append(len(out))
         else:
-            stack.extend(reversed(pieces(item)))
-    return "".join(out)
+            key = id(item)
+            text = texts.get(key)
+            if text is None:  # met first: spell it, noting where its text starts
+                texts[key] = span = [out, len(out)]
+                stack.append(span)
+                stack.extend(reversed(pieces(item)))
+                continue
+            if text.__class__ is list:  # met again: join its first text, once
+                source, start, end = text
+                text = texts[key] = "".join(source[start:end])
+            out.append(text)
+    text = texts[id(e)] = "".join(out)
+    return text
 
 
 def _pieces(e: KnotExpr) -> tuple[KnotExpr | str, ...]:

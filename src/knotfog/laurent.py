@@ -10,11 +10,11 @@ grow like 2^n and must never overflow.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
-
 from .frozen import Frozen
 
+TYPE_CHECKING = False  # `typing` is not imported, to keep it out of a CLI process
 if TYPE_CHECKING:
+    from collections.abc import Iterator, Mapping, Sequence
     from fractions import Fraction
 
 

@@ -428,6 +428,16 @@ class TestSelftestCommand:
         proc = run_python("-S", "-c", code, "invariants", "trefoil # kfam(2) # wh0(fig8)")
         assert proc.stderr.split() == ["0"]
 
+    @pytest.mark.parametrize("after", [(), ("--json",)], ids=["table", "json"])
+    def test_reports_load_no_typing(self, after):
+        # the records are namedtuples and annotations are never evaluated;
+        # -S, since `site` may import typing
+        code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
+                "print(status, *[m for m in ('typing',) if m in sys.modules], file=sys.stderr)")
+        text = "trefoil # kfam(2) # ksat(fig8, fig8, 1, 2) # wh0(fig8) # atom(A, genus=2)"
+        proc = run_python("-S", "-c", code, "invariants", text, *after)
+        assert proc.stderr.split() == ["0"]
+
     def test_no_source_imports_dataclasses(self):
         sources = sorted(Path(knotfog.__file__).parent.glob("*.py"))
         assert sources

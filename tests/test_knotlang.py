@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotfog import classical, cli, firstorder
+import render_oracle
+from knotfog import classical, cli, firstorder, knotlang
 from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, Ksat, ParseError, Sum,
                               Trefoil, TriState, Unknot, Wh0, builtin_flags, children,
                               fold, parse, random_expr, render, validate)
@@ -351,6 +352,62 @@ class TestRender:
         e = Sum(Unknot(), Sum(Trefoil(), Fig8()))
         assert render(e) == "unknot # (trefoil # fig8)"
         assert parse(render(e)) == e
+
+
+def doubling(e, depth: int):
+    """ksat(e, e, 0, 0) nested `depth` times: 2^depth copies of e, depth + 1
+    distinct subtrees above e's own."""
+    for _ in range(depth):
+        e = Ksat(e, e, 0, 0)
+    return e
+
+
+class TestRenderAgainstTheOracle:
+    """`render` spells each distinct subtree once; the old serializer,
+    which spells every occurrence, is the oracle for its text and repr."""
+
+    def assert_same(self, e) -> None:
+        assert render(e) == render_oracle.render(e)
+        assert repr(e) == render_oracle.repr_of(e)
+
+    def test_seeded_trees(self):
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            self.assert_same(random_expr(rng, rng.randint(1, 6)))
+
+    def test_doubling_trees(self):
+        rng = random.Random(7)
+        for depth in range(8):
+            self.assert_same(doubling(random_expr(rng, 3), depth))
+            self.assert_same(Sum(doubling(Fig8(), depth), Wh0(doubling(Kfam(2), depth), "-")))
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 61, 500])
+    def test_chains(self, n):
+        self.assert_same(chain(n))
+        self.assert_same(Ksat(chain(n), Wh0(chain(n)), 1, -1))  # one chain, met twice
+
+    def test_right_nested_sums(self):
+        e = Trefoil()
+        for k in range(30):
+            e = Sum(Kfam(1 + k % 3), e) if k % 2 else Sum(e, Sum(e, Fig8()))
+        self.assert_same(e)
+
+    def test_shared_memo(self):
+        # a memo filled by one call answers later calls on its subtrees,
+        # including subtrees the first call met only once
+        e = Sum(Wh0(chain(40)), Ksat(Fig8(), Fig8(), 0, 0))
+        texts: dict = {}
+        assert render(e, texts=texts) == render_oracle.render(e)
+        for sub in subtrees(e):
+            assert render(sub, texts=texts) == render_oracle.render(sub)
+
+    def test_report_spells_each_distinct_subtree_once(self):
+        for d in (1, 4, 10):
+            e = doubling(Fig8(), d)
+            got = cli.report(e)
+            assert count_calls(knotlang._pieces.__code__, lambda: cli.report(e)) == d + 1
+            assert got.expression == render_oracle.render(e)
+            assert len(got.warnings) == 2 ** d - 2
 
 
 class TestRoundTrip:

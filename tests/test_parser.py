@@ -8,12 +8,15 @@ position.
 """
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
+from knotfog import knotlang
 from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, ParseError, parse, random_expr, render
 
 # The grammar's characters, plus the ones where a regular expression and
@@ -166,6 +169,93 @@ class TestPitfalls:
             parse(text)
         assert (str(exc.value), exc.value.position) == (f"{message} (at position {position})", position)
         assert_same(text)
+
+
+def doubling_text(operand: str, depth: int, separators=(" ",)) -> str:
+    """ksat(X, X, 0, 0) nested `depth` times around `operand`, the two
+    copies of each level spelled with separators[level % len]."""
+    for level in range(depth):
+        sep = separators[level % len(separators)]
+        operand = f"ksat({operand},{sep}{operand},{sep}0, 0)"
+    return operand
+
+
+def respaced(text: str, rng: random.Random) -> str:
+    """text with the space between its tokens redrawn; the same tokens."""
+    return rng.choice(("", " ", "\t", "　")).join(knotlang._tokens(text))
+
+
+class TestRepeatedKsatOperands:
+    """A ksat's second operand spelled as its first is skipped, not read
+    again; the outcome must be what the recursive parser gives."""
+
+    def test_doubling_trees_over_seeded_subtrees(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            text = doubling_text(render(random_expr(rng, rng.randint(1, 4))), rng.randint(1, 5))
+            assert_same(text)
+            assert_same(mutated(rng, text))
+
+    def test_copies_with_different_whitespace(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            x = render(random_expr(rng, rng.randint(1, 4)))
+            assert_same(f"ksat({x}, {respaced(x, rng)}, 1, -1)")
+            assert_same(f"ksat({respaced(x, rng)},{x},0,0) # {x}")
+
+    @pytest.mark.parametrize("second", [
+        "wh0(fig8, clasp=-) # kfam(2)",      # one token changed
+        "wh0(fig8, clasp=+) # kfam(3)",
+        "wh0(fig8, clasp=+) # kfam(2) # fig8",  # the copy followed by `#`
+        "(wh0(fig8, clasp=+) # kfam(2))",
+        "wh0(fig8, clasp=+) # kfam(2))",     # the copy followed by `)`
+        "wh0(fig8, clasp=+) # kfam(2",       # truncated copies
+        "wh0(fig8, clasp=+) #",
+        "wh0(fig8, clasp=+)",
+    ])
+    @pytest.mark.parametrize("tail", [", 0, 0)", ", 0, 0) # trefoil", ")", ""])
+    def test_near_misses(self, second, tail):
+        assert_same("ksat(wh0(fig8, clasp=+) # kfam(2), " + second + tail)
+
+    @pytest.mark.parametrize("tail", [
+        ", 1, )", ", 1 0)", ", 1, 0", ", 1, 0) fig8", ", x, 0)", ")", "", ", 1, 0) # )",
+        ", 1, 0) #", ", 1, 0))", ", " + "9" * (INT_DIGITS_MAX + 1) + ", 0)"])
+    def test_errors_after_the_skipped_span(self, tail):
+        x = doubling_text("atom(A, genus=2, slice=no)", 3)
+        assert_same(f"ksat({x}, {x}" + tail)
+        assert_same(f"wh0(ksat({x}, {x}" + tail + ")")
+
+    def test_repeated_operands_at_the_nesting_limit(self):
+        x = "ksat(" * (DEPTH_MAX - 1) + "fig8" + ", fig8, 0, 0)" * (DEPTH_MAX - 1)
+        assert_same(f"ksat({x}, {x}, 0, 0)")
+        assert_same(f"(ksat({x}, {x}, 0, 0))")
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 12])
+    def test_each_level_closes_once(self, depth):
+        text = doubling_text("kfam(2)", depth, separators=(" ", "  "))
+        entered = 0
+
+        def profile(frame, event, arg):
+            nonlocal entered
+            if event == "call" and frame.f_code is knotlang._Parser.ksat.__code__:
+                entered += 1
+
+        sys.setprofile(profile)
+        try:
+            e = parse(text)
+        finally:
+            sys.setprofile(None)
+        assert entered == depth
+        assert render(e) == doubling_text("kfam(2)", depth)
+
+
+class TestTokenizer:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet=ALPHABET, max_size=60))
+    def test_same_tokens_as_the_earlier_pattern(self, text):
+        # `_TOKEN` starts with words so that it fails less often at one;
+        # the earlier pattern put INTs first
+        assert knotlang._TOKEN.findall(text) == re.findall(r"-?\d+|\w+|\S", text)
 
 
 def near_the_recursion_limit(func, free: int = 40):
