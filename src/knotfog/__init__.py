@@ -20,8 +20,7 @@ _EXPORTS = {
         "trivial_of"), "classical"),
     **dict.fromkeys((
         "BasisWitness", "BoundRecord", "CertificateCheck", "FirstOrderResult",
-        "WeakGropeCertificate", "check_certificate", "first_order_genus",
-        "min_basis_bound"), "firstorder"),
+        "WeakGropeCertificate", "first_order_genus", "min_basis_bound"), "firstorder"),
     **dict.fromkeys((
         "Atom", "Fig8", "Kfam", "KnotExpr", "Ksat", "ParseError", "Sum", "Trefoil",
         "TriState", "Unknot", "Wh0", "parse", "random_expr", "render", "validate"),

@@ -15,7 +15,7 @@ import collections
 
 from .frozen import Frozen, integer
 from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
-                       Unknot, Wh0, builtin_flags, fold, render)
+                       Unknot, Wh0, fold, render)
 from .laurent import LaurentPoly
 
 
@@ -144,24 +144,26 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
     """The fold step of the facts engine, run once per distinct subtree
     by `firstorder.step`.  Every closed-form guard is evaluated here only;
     the first-order bounds and `NodeFacts.warnings` read `failed`.  Each
-    rule id is chosen where its value is; no companion adds a factor."""
-    torus, cable, slice_ = builtin_flags(e)  # all unknown on composite nodes
+    rule id is chosen where its value is; no companion adds a factor.
+    One branch per node class, tested by identity: node classes are final."""
+    cls = e.__class__
+    torus, cable, slice_ = e.flags  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []
     factors: tuple[tuple[int, int], ...] | None = ()  # unknot, doubles
     summands: tuple[NodeFacts, ...] = ()
-    if isinstance(e, Unknot):
+    if cls is Unknot:
         genus, slice_ = IntInterval.point(0), TriState.YES
         rules = "genus/unknot", "alexander/unknot", "slice/unknot"
-    elif isinstance(e, (Trefoil, Fig8)):
-        genus, factors = IntInterval.point(1), ((1 if isinstance(e, Trefoil) else -1, 1),)
+    elif cls is Trefoil or cls is Fig8:
+        genus, factors = IntInterval.point(1), ((1 if cls is Trefoil else -1, 1),)
         rules = "genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"
-    elif isinstance(e, Kfam):
+    elif cls is Kfam:
         genus, factors = IntInterval.point(e.n), ((-2, e.n),)  # PRETZEL_BASE ** n
         rules = "genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"
-    elif isinstance(e, Atom):
+    elif cls is Atom:
         genus, factors = IntInterval.point(e.genus), None
         rules = "genus/declared", "alexander/unknown", "slice/declared"
-    elif isinstance(e, Sum):
+    elif cls is Sum:
         left, right = kids
         genus = left.genus + right.genus
         both = left.slice is TriState.YES and right.slice is TriState.YES
@@ -172,7 +174,7 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         else:  # the multiset sum, added up by `_alexander`
             summands, alexander_rule = (left, right), "alexander/connected-sum"
         rules = "genus/connected-sum", alexander_rule, slice_rule
-    elif isinstance(e, Wh0):
+    elif cls is Wh0:
         (companion,) = kids
         genus = (IntInterval.point(0) if companion.trivial is TriState.YES else
                  IntInterval.point(1) if companion.trivial is TriState.NO else IntInterval(0, 1))
@@ -182,9 +184,9 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         rules = "genus/whitehead-double", "alexander/untwisted-double", slice_rule
         if companion.trivial is not TriState.NO:
             failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
-        if builtin_flags(e.companion)[1] is not TriState.NO:
+        if e.companion.flags[1] is not TriState.NO:
             failed.append(("whitehead closed form requires a noncable companion: ", e.companion))
-    elif isinstance(e, Ksat):
+    else:  # Ksat
         j, l = kids
         of_j, of_l = _satellite(e.n, l.trivial), _satellite(e.m, j.trivial)
         # A zero framing next to a trivial knot collapses the construction;
@@ -201,8 +203,6 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         for side, sub, facts in (("first", e.j, j), ("second", e.l, l)):
             if facts.in_R is not TriState.YES:
                 failed.append((f"satellite closed forms require the {side} companion in class R: ", sub))
-    else:
-        raise TypeError(f"not a KnotExpr: {e!r}")
     trivial = (TriState.YES if genus.hi == 0 else
                TriState.NO if genus.lo >= 1 else TriState.UNKNOWN)
     flags = (trivial, torus, cable)

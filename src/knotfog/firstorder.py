@@ -66,18 +66,14 @@ class CertificateCheck(collections.namedtuple("CertificateCheck", "ok reasons", 
         return self.ok
 
 
-def check_certificate(cert: WeakGropeCertificate, e: KnotExpr) -> CertificateCheck:
-    """Whether the certificate can be valid for the given expression.
+def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
+    """Whether the certificate can be valid for an expression with these facts.
 
     The first stage must be a minimal genus surface, so its genus must
     equal the (exactly known) genus of the expression; and no second
     stage of a nontrivial knot may be a disc, since a disc-bounding
     basis curve would compress the surface below minimal genus.
     """
-    return _check(cert, fold(e, node_facts))
-
-
-def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
     reasons: list[str] = []
     if not facts.genus.is_point():
         reasons.append("genus of expression not exactly known")
@@ -229,21 +225,22 @@ def step(e: KnotExpr, kids: list) -> tuple[NodeFacts, tuple[int, str], tuple[int
     if facts.trivial is TriState.YES:
         return facts, (0, "first-order/unknot"), (0, "first-order/unknot")
     lo, hi = (2 * facts.genus.lo, "first-order/twice-genus"), None
-    if isinstance(e, (Trefoil, Fig8)):
+    cls = e.__class__
+    if cls is Trefoil or cls is Fig8:
         hi = _certified(WeakGropeCertificate(1, (1, 1)), facts, "first-order/leaf-certificate")
     # A guard passes only on companions that are leaves flagged noncable
     # (fig8, kfam, atom), so their genus is exact and .lo is that genus.
-    elif isinstance(e, Wh0) and not facts.failed:
+    elif cls is Wh0 and not facts.failed:
         g_j = kids[0][0].genus.lo
         lo = min_basis_bound(g_j, 0)[0], "first-order/double-enumerator"
         hi = _certified(WeakGropeCertificate(1, (g_j, 1)), facts, "first-order/double-certificate")
-    elif isinstance(e, Ksat) and not facts.failed:
+    elif cls is Ksat and not facts.failed:
         gj, gl = kids[0][0].genus.lo, kids[1][0].genus.lo
         lo = min_basis_bound(gj, gl)[0], "first-order/satellite-enumerator"
         if e.m == 0 and e.n == 0:
             hi = _certified(WeakGropeCertificate(1, (gj, gl)), facts,
                             "first-order/satellite-certificate")
-    elif isinstance(e, Sum) and kids[0][2] is not None and kids[1][2] is not None:
+    elif cls is Sum and kids[0][2] is not None and kids[1][2] is not None:
         hi = kids[0][2][0] + kids[1][2][0], "first-order/subadditive"
     if hi is not None and lo[0] > hi[0]:
         raise AssertionError(

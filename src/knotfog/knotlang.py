@@ -24,6 +24,13 @@ The named flags of `atom` may appear in any order, each at most once;
 `render` always prints them in the order torus, cable, slice and prints
 defaults explicitly, so that parse(render(e)) is e.  Equal syntax nodes
 are one object, for every tree, and no value operation recurses.
+
+Each node class is one row of the language: `children()`, its subtrees
+in text order, which are its first fields (() for a leaf); `flags`, its
+curated (torus, cable, slice), all UNKNOWN unless the class states them;
+and `pieces()`, its text as strings and child nodes.  `fold` and
+`render` read the row.  Node classes are final, so the engines above
+dispatch on `e.__class__` with `is`, once per node.
 """
 
 from __future__ import annotations
@@ -82,9 +89,18 @@ class KnotExpr(Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal nodes are one object
     __copy__ = __deepcopy__ = lambda self, *memo: self
     __repr__ = lambda self: render(self, _repr_pieces)
+    flags = (TriState.UNKNOWN,) * 3  # curated (torus, cable, slice): unknown unless a class states them
+
+    def __init_subclass__(cls):
+        if cls.__base__ is not KnotExpr:  # the engines test `e.__class__ is Sum`, not isinstance
+            raise TypeError(f"node class {cls.__base__.__name__} is final")
 
     def __new__(cls):  # a leaf; the other nodes have constructors of their own
         return _node((cls,))
+
+    def children(self) -> tuple[KnotExpr, ...]:
+        """The direct subtrees, in text order: the node's first fields."""
+        return ()
 
     def __reduce__(self):
         """Pickle a flat table in fold order, a row (class, child rows, other
@@ -123,19 +139,34 @@ def _knot(value, what: str) -> KnotExpr:
 class Unknot(KnotExpr):
     __slots__ = ()
 
+    def pieces(self) -> tuple[str, ...]:
+        return ("unknot",)
+
 
 class Trefoil(KnotExpr):
     __slots__ = ()
+    # a torus knot and, under the broad convention that torus knots are
+    # cables of the unknot, a cable; not slice
+    flags = TriState.YES, TriState.YES, TriState.NO
+
+    def pieces(self) -> tuple[str, ...]:
+        return ("trefoil",)
 
 
 class Fig8(KnotExpr):
     __slots__ = ()
+    flags = TriState.NO, TriState.NO, TriState.NO  # neither torus nor cable, and not slice
+
+    def pieces(self) -> tuple[str, ...]:
+        return ("fig8",)
 
 
 class Kfam(KnotExpr):
     """The n-th member of the ribbon pretzel family; 1 <= n <= KFAM_MAX."""
 
     __slots__ = ("n",)
+    # ribbon, hence slice; not a cable, and, being ribbon, not a nontrivial torus knot
+    flags = TriState.NO, TriState.NO, TriState.YES
 
     def __new__(cls, n: int):
         if integer(n, "kfam n") < 1:
@@ -143,6 +174,9 @@ class Kfam(KnotExpr):
         if n > KFAM_MAX:
             raise ValueError(f"kfam requires n <= {KFAM_MAX}, got {n}")
         return _node((cls, n))
+
+    def pieces(self) -> tuple[str, ...]:
+        return (f"kfam({self.n})",)
 
 
 class Wh0(KnotExpr):
@@ -159,6 +193,12 @@ class Wh0(KnotExpr):
             raise ValueError(f"clasp must be '+' or '-', got {clasp!r}")
         return _node((cls, _knot(companion, "wh0 companion"), clasp))
 
+    def children(self) -> tuple[KnotExpr, ...]:
+        return (self.companion,)
+
+    def pieces(self) -> tuple[KnotExpr | str, ...]:
+        return "wh0(", self.companion, f", clasp={self.clasp})"
+
 
 class Ksat(KnotExpr):
     """Doubly-companioned genus-one construction: two bands tied into j and l
@@ -170,12 +210,19 @@ class Ksat(KnotExpr):
         return _node((cls, _knot(j, "ksat j"), _knot(l, "ksat l"), integer(m, "ksat m"),
                       integer(n, "ksat n")))
 
+    def children(self) -> tuple[KnotExpr, ...]:
+        return self.j, self.l
+
+    def pieces(self) -> tuple[KnotExpr | str, ...]:
+        return "ksat(", self.j, ", ", self.l, f", {self.m}, {self.n})"
+
 
 class Atom(KnotExpr):
     """An opaque nontrivial knot with declared attributes; genus >= 1 so
     nontriviality is structural."""
 
     __slots__ = ("name", "genus", "torus", "cable", "slice")
+    flags = property(lambda self: (self.torus, self.cable, self.slice))  # as declared
 
     def __new__(cls, name: str, genus: int, torus: TriState = TriState.UNKNOWN,
                 cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
@@ -185,6 +232,10 @@ class Atom(KnotExpr):
             _atom_name((cls, name))  # a bad name is reported before a bad flag
             torus, cable, slice = TriState(torus), TriState(cable), TriState(slice)
         return _node((cls, name, genus, torus, cable, slice), _atom_name)
+
+    def pieces(self) -> tuple[str, ...]:
+        return (f"atom({self.name}, genus={self.genus}, torus={self.torus}, "
+                f"cable={self.cable}, slice={self.slice})",)
 
 
 def _atom_name(key: tuple) -> None:
@@ -201,6 +252,14 @@ class Sum(KnotExpr):
 
     def __new__(cls, left: KnotExpr, right: KnotExpr):
         return _node((cls, _knot(left, "sum left"), _knot(right, "sum right")))
+
+    def children(self) -> tuple[KnotExpr, ...]:
+        return self.left, self.right
+
+    def pieces(self) -> tuple[KnotExpr | str, ...]:
+        if self.right.__class__ is Sum:  # `#` associates left
+            return self.left, " # (", self.right, ")"
+        return self.left, " # ", self.right
 
 
 # -- parser ----------------------------------------------------------------
@@ -424,17 +483,6 @@ def parse(text: str) -> KnotExpr:
 # -- traversal and serializer ------------------------------------------------
 
 
-def children(e: KnotExpr) -> tuple[KnotExpr, ...]:
-    """The direct subtrees of a node, in text order; () for a leaf."""
-    if isinstance(e, Sum):
-        return e.left, e.right
-    if isinstance(e, Wh0):
-        return (e.companion,)
-    if isinstance(e, Ksat):
-        return e.j, e.l
-    return ()
-
-
 def fold(e: KnotExpr, step):
     """step(node, child values in text order) once per distinct subtree,
     children first; returns the root's value.  Equal subtrees are one
@@ -448,7 +496,7 @@ def fold(e: KnotExpr, step):
         if kids is None:
             if id(node) in done:
                 continue
-            kids = children(node)
+            kids = node.children()
             if kids:
                 stack.append((node, kids))
                 stack.extend((kid, None) for kid in reversed(kids))
@@ -467,7 +515,8 @@ def _unpickle(rows: list[tuple]) -> KnotExpr:
 
 def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
     """Canonical text with defaults printed explicitly; parse(render(e)) is e.
-    pieces(node), `_pieces` by default, spells a node as strings and nodes.
+    pieces(node), the node's own `pieces()` by default, spells a node as
+    strings and nodes.
 
     Each distinct subtree is spelled from its pieces once: the first time
     it is met, its text goes to the output as pieces, and where they start
@@ -480,7 +529,6 @@ def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
     line and warnings; it is keyed by id, so it must not outlive the nodes.
     Texts are not built bottom-up with `fold`: every prefix of a `#` chain
     is a distinct subtree, so keeping each one's text would be quadratic."""
-    pieces = pieces or _pieces
     texts = {} if texts is None else texts
     out: list[str] = []
     stack: list = [e]
@@ -496,7 +544,7 @@ def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
             if text is None:  # met first: spell it, noting where its text starts
                 texts[key] = span = [out, len(out)]
                 stack.append(span)
-                stack.extend(reversed(pieces(item)))
+                stack.extend(reversed(item.pieces() if pieces is None else pieces(item)))
                 continue
             if text.__class__ is list:  # met again: join its first text, once
                 source, start, end = text
@@ -506,61 +554,13 @@ def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
     return text
 
 
-def _pieces(e: KnotExpr) -> tuple[KnotExpr | str, ...]:
-    """A node's text as literal strings and the child nodes between them."""
-    if isinstance(e, Sum):
-        if isinstance(e.right, Sum):
-            return e.left, " # (", e.right, ")"
-        return e.left, " # ", e.right
-    if isinstance(e, Unknot):
-        return ("unknot",)
-    if isinstance(e, Trefoil):
-        return ("trefoil",)
-    if isinstance(e, Fig8):
-        return ("fig8",)
-    if isinstance(e, Kfam):
-        return (f"kfam({e.n})",)
-    if isinstance(e, Wh0):
-        return "wh0(", e.companion, f", clasp={e.clasp})"
-    if isinstance(e, Ksat):
-        return "ksat(", e.j, ", ", e.l, f", {e.m}, {e.n})"
-    if isinstance(e, Atom):
-        return (f"atom({e.name}, genus={e.genus}, torus={e.torus}, "
-                f"cable={e.cable}, slice={e.slice})",)
-    raise TypeError(f"not a KnotExpr: {e!r}")
-
-
 def _repr_pieces(e: KnotExpr) -> list:
-    """A node's repr, `Name(field=value, ...)`, as `_pieces` spells its text."""
+    """A node's repr, `Name(field=value, ...)`, as `pieces()` spells its text."""
     pieces: list = [f"{e.__class__.__qualname__}("]
     for k, name in enumerate(e.__slots__):
         value = getattr(e, name)
         pieces += f"{', ' * (k > 0)}{name}=", value if isinstance(value, KnotExpr) else repr(value)
     return pieces + [")"]
-
-
-# -- curated attribute flags ---------------------------------------------------
-
-
-def builtin_flags(e: KnotExpr) -> tuple[TriState, TriState, TriState]:
-    """(torus, cable, slice) flags for a single node, not recursing.
-
-    Curated table: the trefoil is a torus knot and, under the broad
-    convention that torus knots are cables of the unknot, a cable; the
-    figure-eight is neither and is not slice; the pretzel family is
-    ribbon (hence slice), not a cable, and - being ribbon - not a
-    nontrivial torus knot.  Composite nodes carry no flags of their own.
-    """
-    yes, no, unk = TriState.YES, TriState.NO, TriState.UNKNOWN
-    if isinstance(e, Trefoil):
-        return yes, yes, no
-    if isinstance(e, Fig8):
-        return no, no, no
-    if isinstance(e, Kfam):
-        return no, no, yes
-    if isinstance(e, Atom):
-        return e.torus, e.cable, e.slice
-    return unk, unk, unk
 
 
 def validate(e: KnotExpr) -> list[str]:

@@ -5,18 +5,19 @@ called for: the pretzel determinants are compared against the closed
 power form, the closed-form basis bound against an exhaustive search
 over all unimodular 4-tuples in a box, the parser against a serializer
 round-trip, and the interval engines against their defining
-inequalities on large seeded samples.  Checks are deterministic: all
-randomness is seeded here.
+inequalities on large seeded samples.  Each expression is checked
+through one `cli.report`, the answer the CLI prints.  Checks are
+deterministic: all randomness is seeded here.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import random
 import time
-from typing import Callable, NamedTuple
 
-from . import classical, firstorder, knotlang, seifert
+from . import classical, cli, firstorder, knotlang, seifert
 from .knotlang import Ksat, Sum, TriState, Unknot, Wh0, Kfam, Atom, parse, render
 from .laurent import ONE, LaurentPoly, unit_equivalent
 
@@ -51,9 +52,8 @@ def whitehead_family_table() -> str:
     """Wh0(Kfam(n)) for n = 1..8: constant classical data, strictly rising g1."""
     seen: list[int] = []
     for n in range(1, 9):
-        e = Wh0(Kfam(n))
-        facts = classical.facts_of(e)
-        fog = firstorder.first_order_genus(e)
+        answer = cli.report(Wh0(Kfam(n)))
+        facts, fog = answer.facts, answer.fog
         _check(facts.genus == classical.IntInterval.point(1),
                f"n={n}: genus {facts.genus} != [1, 1]")
         _check(facts.alexander == ONE, f"n={n}: alexander {facts.alexander} != 1")
@@ -66,14 +66,12 @@ def whitehead_family_table() -> str:
 
 
 def twice_genus_soundness() -> str:
-    """first_order_genus(e).lo >= 2*genus_of(e).lo on 1000 seeded expressions."""
+    """g1.lo >= 2*genus.lo on 1000 seeded expressions."""
     rng = random.Random(20240811)
     violations = 0
     for _ in range(1000):
-        e = knotlang.random_expr(rng, max_depth=4)
-        fog = firstorder.first_order_genus(e)
-        g = classical.genus_of(e)
-        if fog.lo < 2 * g.lo:
+        answer = cli.report(knotlang.random_expr(rng, max_depth=4))
+        if answer.fog.lo < 2 * answer.facts.genus.lo:
             violations += 1
     _check(violations == 0, f"{violations} violations of lo >= 2*genus.lo")
     return "1000 expressions, zero violations"
@@ -82,17 +80,15 @@ def twice_genus_soundness() -> str:
 def subadditivity() -> str:
     """hi(a # b) <= hi(a) + hi(b) on 500 seeded pairs with finite hi."""
     rng = random.Random(987123)
-    finite: list = []
+    finite: list = []  # (e, hi)
     while len(finite) < 1000:
         e = knotlang.random_expr(rng, max_depth=3)
-        if firstorder.first_order_genus(e).hi is not None:
-            finite.append(e)
-    pairs = [(finite[2 * i], finite[2 * i + 1]) for i in range(500)]
+        hi = cli.report(e).fog.hi
+        if hi is not None:
+            finite.append((e, hi))
     violations = 0
-    for a, b in pairs:
-        hi_a = firstorder.first_order_genus(a).hi
-        hi_b = firstorder.first_order_genus(b).hi
-        hi_sum = firstorder.first_order_genus(Sum(a, b)).hi
+    for (a, hi_a), (b, hi_b) in zip(finite[::2], finite[1::2]):
+        hi_sum = cli.report(Sum(a, b)).fog.hi
         if hi_sum is None or hi_sum > hi_a + hi_b:
             violations += 1
     _check(violations == 0, f"{violations} subadditivity violations")
@@ -166,16 +162,16 @@ def alexander_sanity() -> str:
     rng = random.Random(424242)
     produced = 0
     for _ in range(1000):
-        e = knotlang.random_expr(rng, max_depth=4)
-        delta = classical.alexander_of(e)
+        answer = cli.report(knotlang.random_expr(rng, max_depth=4))
+        delta = answer.facts.alexander
         if delta is not None:
             produced += 1
             _check(abs(delta.evaluate(1)) == 1,
-                   f"|Delta(1)| != 1 for {render(e)}: {delta}")
+                   f"|Delta(1)| != 1 for {answer.expression}: {delta}")
     _check(produced >= 500, f"only {produced} expressions produced a polynomial")
     companion = Atom("J", 1)
     for m in range(-6, 7):
-        got = classical.alexander_of(Ksat(companion, Unknot(), m, -1))
+        got = cli.report(Ksat(companion, Unknot(), m, -1)).facts.alexander
         twist = LaurentPoly.from_terms({0: -m, 1: 1 + 2 * m, 2: -m})
         _check(unit_equivalent(got, twist),
                f"m={m}: twisted double polynomial {got} != twist form {twist}")
@@ -183,7 +179,7 @@ def alexander_sanity() -> str:
         for n in range(-3, 4):
             if m * n != 0:
                 continue
-            got = classical.alexander_of(Ksat(companion, Atom("L", 2), m, n))
+            got = cli.report(Ksat(companion, Atom("L", 2), m, n)).facts.alexander
             _check(unit_equivalent(got, ONE),
                    f"m={m}, n={n}: zero-framing polynomial {got} not trivial")
     return f"{produced} polynomials with |Delta(1)| = 1; twist family reproduced"
@@ -198,7 +194,7 @@ def exact_point_values() -> str:
         (Unknot(), 0, 0),
     ]
     for e, lo, hi in expected:
-        fog = firstorder.first_order_genus(e)
+        fog = cli.report(e).fog
         _check((fog.lo, fog.hi) == (lo, hi),
                f"{render(e)}: {fog.interval} != [{lo}, {hi}]")
     return "trefoil [2,2], fig8 [2,2], double satellite [3,3], unknot [0,0]"
@@ -233,7 +229,7 @@ def parser_round_trip() -> str:
 # -- runner -------------------------------------------------------------------
 
 
-CRITERIA: tuple[tuple[str, Callable[[], str]], ...] = (
+CRITERIA = (
     ("pretzel-polynomial-identity", pretzel_polynomial_identity),
     ("whitehead-family-table", whitehead_family_table),
     ("twice-genus-soundness", twice_genus_soundness),
@@ -246,11 +242,7 @@ CRITERIA: tuple[tuple[str, Callable[[], str]], ...] = (
 )
 
 
-class CriterionResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+CriterionResult = collections.namedtuple("CriterionResult", "name passed detail seconds")
 
 
 def run_criterion(name: str) -> CriterionResult:

@@ -5,7 +5,8 @@ multiset, kept as the differential oracle for the facts engine.
 Here the fold decides the values only.  `knot_facts` then takes the rule
 ids from the root's node type (`_RULES`), and `alexander_of` walks the
 `#` spine again and multiplies each leaf's polynomial into a running
-product, canonical after every step.  All are kept as they were;
+product, canonical after every step.  All are kept as they were, but
+for reading a node's curated flags from its row, `e.flags`;
 `facts_of(e)` is the old `classical.facts_of`.  `cli.report(e).facts`
 must equal `facts_of(e)`, provenance included.
 """
@@ -17,7 +18,7 @@ from typing import NamedTuple
 from knotfog.classical import (_ANCHORS, PRETZEL_BASE, IntInterval, KnotFacts,
                                Provenance, _satellite, genus_one_alexander)
 from knotfog.knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
-                              Unknot, Wh0, builtin_flags, fold, render)
+                              Unknot, Wh0, fold, render)
 from knotfog.laurent import ONE, LaurentPoly
 
 
@@ -38,7 +39,7 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
     """The fold step of the facts engine, run once per distinct subtree
     by `firstorder.step`.  Every closed-form guard is evaluated here only;
     the first-order bounds and `NodeFacts.warnings` read `failed`."""
-    torus, cable, slice_ = builtin_flags(e)  # all unknown on composite nodes
+    torus, cable, slice_ = e.flags  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []
     if isinstance(e, Unknot):
         genus, slice_ = IntInterval.point(0), TriState.YES
@@ -60,7 +61,7 @@ def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         slice_ = TriState.YES if companion.slice is TriState.YES else TriState.UNKNOWN
         if companion.trivial is not TriState.NO:
             failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
-        if builtin_flags(e.companion)[1] is not TriState.NO:
+        if e.companion.flags[1] is not TriState.NO:
             failed.append(("whitehead closed form requires a noncable companion: ", e.companion))
     elif isinstance(e, Ksat):
         j, l = kids

@@ -8,13 +8,13 @@ spells each distinct subtree once.
 
 from __future__ import annotations
 
-from knotfog.knotlang import KnotExpr, _pieces, _repr_pieces
+from knotfog.knotlang import KnotExpr, _repr_pieces
 
 
 def render(e: KnotExpr, pieces=None) -> str:
     """Canonical text with defaults printed explicitly; parse(render(e)) is e.
-    pieces(node), `_pieces` by default, spells a node as strings and nodes."""
-    pieces = pieces or _pieces
+    pieces(node), the node's own `pieces()` by default, spells a node as
+    strings and nodes."""
     out: list[str] = []
     stack: list = [e]
     while stack:
@@ -22,7 +22,7 @@ def render(e: KnotExpr, pieces=None) -> str:
         if isinstance(item, str):
             out.append(item)
         else:
-            stack.extend(reversed(pieces(item)))
+            stack.extend(reversed(item.pieces() if pieces is None else pieces(item)))
     return "".join(out)
 
 

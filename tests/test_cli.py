@@ -526,8 +526,8 @@ class TestLazyExports:
             "Ksat", "LaurentPoly", "ONE", "ParseError", "Provenance", "SeifertMatrix",
             "Sum", "T", "Trefoil", "TriState", "Unknot", "WeakGropeCertificate", "Wh0",
             "ZERO",
-            "alexander_of", "alexander_polynomial", "change_basis", "check_certificate",
-            "class_r_of", "facts_of", "first_order_genus", "genus_of",
+            "alexander_of", "alexander_polynomial", "change_basis", "class_r_of",
+            "facts_of", "first_order_genus", "genus_of",
             "intersection_form", "min_basis_bound", "parse", "random_expr",
             "random_symplectic", "render", "satellite_of_first", "slice_of",
             "standard_form", "theta", "trivial_of", "unit_equivalent", "validate",

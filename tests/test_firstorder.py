@@ -8,9 +8,8 @@ from test_golden import HAND_PICKED
 
 from knotfog import classical, firstorder
 from knotfog.classical import IntInterval, genus_of, node_facts
-from knotfog.firstorder import (BasisWitness, WeakGropeCertificate,
-                                check_certificate, first_order_genus,
-                                min_basis_bound, step)
+from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _check,
+                                first_order_genus, min_basis_bound, step)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0, fold, parse, random_expr, validate)
 
@@ -32,6 +31,11 @@ class TestCertificate:
     def test_rejects_zero_first_stage(self):
         with pytest.raises(ValueError):
             WeakGropeCertificate(0, ())
+
+
+def check_certificate(cert, e):
+    """The certificate check on e's folded facts."""
+    return _check(cert, fold(e, node_facts))
 
 
 class TestCheckCertificate:

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import render_oracle
-from knotfog import classical, cli, firstorder, knotlang
-from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, Ksat, ParseError, Sum,
-                              Trefoil, TriState, Unknot, Wh0, builtin_flags, children,
-                              fold, parse, random_expr, render, validate)
+from test_cli import run_python
+
+from knotfog import classical, cli, firstorder
+from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, KnotExpr, Ksat, ParseError, Sum,
+                              Trefoil, TriState, Unknot, Wh0, fold, parse, random_expr,
+                              render, validate)
 
 
 class TestParse:
@@ -110,17 +112,19 @@ def subtrees(e) -> list:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(children(node))
+            stack.extend(node.children())
     return list(seen.values())
 
 
 def count_calls(code, call) -> int:
-    """How many times the function with this code object runs during call()."""
+    """How many times the function with this code object, or with any code
+    object in this set, runs during call()."""
+    codes = code if code.__class__ is set else {code}
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code in codes:
             count += 1
 
     sys.setprofile(profile)
@@ -131,13 +135,68 @@ def count_calls(code, call) -> int:
     return count
 
 
-class TestFold:
-    def test_children_in_text_order(self):
-        assert children(Sum(Trefoil(), Fig8())) == (Trefoil(), Fig8())
-        assert children(Wh0(Kfam(2))) == (Kfam(2),)
-        assert children(Ksat(Fig8(), Unknot(), 1, 0)) == (Fig8(), Unknot())
-        assert children(Atom("A", 1)) == ()
+NODE_CLASSES = (Unknot, Trefoil, Fig8, Kfam, Wh0, Ksat, Atom, Sum)
+PIECES = {cls.pieces.__code__ for cls in NODE_CLASSES}  # each row's `pieces`
 
+YES, NO, UNK = TriState.YES, TriState.NO, TriState.UNKNOWN
+
+# Node class -> its curated (torus, cable, slice); an atom's are its own fields.
+CURATED = {Unknot: (UNK, UNK, UNK), Trefoil: (YES, YES, NO), Fig8: (NO, NO, NO),
+           Kfam: (NO, NO, YES), Wh0: (UNK, UNK, UNK), Ksat: (UNK, UNK, UNK),
+           Sum: (UNK, UNK, UNK)}
+
+
+class TestRows:
+    """Each node class's row: `children()`, `pieces()` and `flags`."""
+
+    def test_node_classes_are_the_rows(self):
+        assert set(KnotExpr.__subclasses__()) == set(NODE_CLASSES)
+
+    def test_rows_on_seeded_nodes(self):
+        # children are the first fields, which `__reduce__` and `_unpickle`
+        # rely on; the nodes in a node's text are its children, in order;
+        # flags are the curated table's, an atom's its own fields
+        assert Ksat(Fig8(), Unknot(), 1, 0).children() == (Fig8(), Unknot())
+        assert Atom("J", 1, torus=NO, cable=YES, slice=NO).flags == (NO, YES, NO)
+        rng = random.Random(4096)
+        seen = set()
+        for _ in range(400):
+            for node in subtrees(random_expr(rng, 4)):
+                kids = node.children()
+                fields = [getattr(node, name) for name in node.__slots__]
+                assert kids == tuple(fields[:len(kids)]), node
+                assert not any(isinstance(f, KnotExpr) for f in fields[len(kids):]), node
+                inner = [p for p in node.pieces() if p.__class__ is not str]
+                assert len(inner) == len(kids) and all(p is k for p, k in zip(inner, kids)), node
+                want = (node.torus, node.cable, node.slice) if node.__class__ is Atom else \
+                    CURATED[node.__class__]
+                assert node.flags == want, node
+                seen.add(node.__class__)
+        assert seen == set(NODE_CLASSES)
+
+    def test_node_classes_are_final(self):
+        # the engines dispatch on `e.__class__ is Sum`, which a subclass would miss
+        for cls in NODE_CLASSES:
+            with pytest.raises(TypeError, match=f"node class {cls.__name__} is final"):
+                type("Sub", (cls,), {"__slots__": ()})
+
+    def test_non_node_is_attribute_error(self):
+        for call in (lambda: render(3), lambda: fold(3, lambda node, kids: None)):
+            with pytest.raises(AttributeError):
+                call()
+
+    def test_language_layer_loads_no_engine(self):
+        # knotlang imports neither engine: parse and render read the rows;
+        # -S, since `site` may import anything
+        code = ("import sys, knotfog.knotlang as k; "
+                "k.render(k.parse('ksat(wh0(fig8), trefoil # kfam(2), 0, 1) # atom(A, genus=2)')); "
+                "print(*[m for m in ('knotfog.classical', 'knotfog.firstorder') if m in sys.modules])")
+        proc = run_python("-S", "-c", code)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "\n"
+
+
+class TestFold:
     def test_post_order_with_child_values_in_text_order(self):
         e = parse("ksat(wh0(fig8), trefoil # unknot, 0, 1) # kfam(2)")
         visited = []
@@ -212,7 +271,7 @@ def fold_per_occurrence(e, step):
     while stack:
         node, kids = stack.pop()
         if kids is None:
-            kids = children(node)
+            kids = node.children()
             if kids:
                 stack.append((node, kids))
                 stack.extend((kid, None) for kid in reversed(kids))
@@ -405,7 +464,7 @@ class TestRenderAgainstTheOracle:
         for d in (1, 4, 10):
             e = doubling(Fig8(), d)
             got = cli.report(e)
-            assert count_calls(knotlang._pieces.__code__, lambda: cli.report(e)) == d + 1
+            assert count_calls(PIECES, lambda: cli.report(e)) == d + 1
             assert got.expression == render_oracle.render(e)
             assert len(got.warnings) == 2 ** d - 2
 
@@ -476,23 +535,6 @@ class TestNodeConstraints:
 
     def test_nodes_are_hashable_values(self):
         assert len({Kfam(1), Kfam(1), Kfam(2)}) == 2
-
-
-class TestBuiltinFlags:
-    def test_curated_table(self):
-        yes, no = TriState.YES, TriState.NO
-        assert builtin_flags(Trefoil()) == (yes, yes, no)
-        assert builtin_flags(Fig8()) == (no, no, no)
-        assert builtin_flags(Kfam(5)) == (no, no, yes)
-
-    def test_atom_flags_pass_through(self):
-        a = Atom("J", 1, torus=TriState.NO, cable=TriState.YES, slice=TriState.NO)
-        assert builtin_flags(a) == (TriState.NO, TriState.YES, TriState.NO)
-
-    def test_composites_carry_no_flags(self):
-        unk = TriState.UNKNOWN
-        assert builtin_flags(Sum(Trefoil(), Fig8())) == (unk, unk, unk)
-        assert builtin_flags(Wh0(Trefoil())) == (unk, unk, unk)
 
 
 class TestValidate:
