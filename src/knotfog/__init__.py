@@ -25,7 +25,7 @@ _EXPORTS = {
         "Atom", "Fig8", "Kfam", "KnotExpr", "Ksat", "ParseError", "Sum", "Trefoil",
         "TriState", "Unknot", "Wh0", "parse", "random_expr", "render", "validate"),
         "knotlang"),
-    **dict.fromkeys(("LaurentPoly", "ONE", "T", "ZERO", "unit_equivalent"), "laurent"),
+    **dict.fromkeys(("LaurentPoly", "ONE", "ZERO", "unit_equivalent"), "laurent"),
     **dict.fromkeys((
         "BasisChange", "SeifertMatrix", "alexander_polynomial", "change_basis",
         "intersection_form", "random_symplectic", "standard_form", "theta"), "seifert"),

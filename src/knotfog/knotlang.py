@@ -529,6 +529,8 @@ def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
     line and warnings; it is keyed by id, so it must not outlive the nodes.
     Texts are not built bottom-up with `fold`: every prefix of a `#` chain
     is a distinct subtree, so keeping each one's text would be quadratic."""
+    if e.__class__ is str or e.__class__ is list:  # the loop would take it for a piece
+        raise AttributeError(f"{e.__class__.__name__!r} object has no attribute 'pieces'")
     texts = {} if texts is None else texts
     out: list[str] = []
     stack: list = [e]

@@ -1,11 +1,13 @@
 """Exact integer Laurent polynomials in one variable t.
 
-Alexander polynomials are only defined up to multiplication by a unit
-+-t^k, so besides exact ring arithmetic this module provides a canonical
-representative (lowest exponent shifted to 0, positive top coefficient)
-and unit-equivalence testing.  Coefficients are arbitrary-precision
-Python integers throughout; determinants of the banded pretzel matrices
-grow like 2^n and must never overflow.
+The invariants need products and powers of Alexander polynomials, exact
+evaluation, and, since an Alexander polynomial is only defined up to
+multiplication by a unit +-t^k, a canonical representative (lowest
+exponent shifted to 0, positive top coefficient) and unit-equivalence
+testing.  This module provides those and no ring beyond them: there are
+no sums, and a polynomial multiplies only by a polynomial.  Coefficients
+are arbitrary-precision Python integers throughout; determinants of the
+banded pretzel matrices grow like 2^n and must never overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .frozen import Frozen
 
 TYPE_CHECKING = False  # `typing` is not imported, to keep it out of a CLI process
 if TYPE_CHECKING:
-    from collections.abc import Iterator, Mapping, Sequence
+    from collections.abc import Sequence
     from fractions import Fraction
 
 
@@ -45,72 +47,13 @@ class LaurentPoly(Frozen):
         object.__setattr__(self, "min_degree", min_degree)
         object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
 
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, int]) -> "LaurentPoly":
-        """Build from a {exponent: coefficient} mapping."""
-        if not terms:
-            return ZERO
-        lo = min(terms)
-        hi = max(terms)
-        dense = [terms.get(k, 0) for k in range(lo, hi + 1)]
-        return cls(lo, dense)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_one(self) -> bool:
         return self.min_degree == 0 and self.coeffs == (1,)
 
-    @property
-    def degree(self) -> int:
-        """Top exponent; raises on the zero polynomial."""
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no degree")
-        return self.min_degree + len(self.coeffs) - 1
+    # -- products, powers and evaluation ---------------------------------
 
-    def terms(self) -> Iterator[tuple[int, int]]:
-        """(exponent, coefficient) pairs with nonzero coefficient, ascending."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.min_degree + i, c
-
-    # -- ring arithmetic ------------------------------------------------
-
-    def __add__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(self.min_degree + len(self.coeffs),
-                 other.min_degree + len(other.coeffs))
-        dense = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            dense[self.min_degree - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            dense[other.min_degree - lo + i] += c
-        return LaurentPoly(lo, dense)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.min_degree, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        return (-self) + other
-
-    def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other.__class__ is not LaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return ZERO
@@ -120,8 +63,6 @@ class LaurentPoly(Frozen):
                 for j, b in enumerate(other.coeffs):
                     dense[i + j] += a * b
         return LaurentPoly(self.min_degree + other.min_degree, dense)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         """p**k by the J.C.P. Miller recurrence, one coefficient at a time.
@@ -207,7 +148,10 @@ class LaurentPoly(Frozen):
         if not self.coeffs:
             return "0"
         parts: list[str] = []
-        for k, c in sorted(self.terms(), reverse=True):
+        lo = self.min_degree
+        for k, c in zip(range(lo + len(self.coeffs) - 1, lo - 1, -1), reversed(self.coeffs)):
+            if not c:
+                continue
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if k == 0:
@@ -228,17 +172,8 @@ class LaurentPoly(Frozen):
         return {"min_degree": self.min_degree, "coeffs": list(self.coeffs)}
 
 
-def _coerce(value: "int | LaurentPoly"):
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int):
-        return LaurentPoly(0, (value,))
-    return NotImplemented
-
-
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
-T = LaurentPoly(1, (1,))
 
 
 def unit_equivalent(a: LaurentPoly, b: LaurentPoly) -> bool:
@@ -252,9 +187,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     No knotfog code calls it; perfbench/tracer.py resolves `laurent.exact_div`
     by attribute for its span, so removing it would crash `--trace 1` runs.
     """
-    if den.is_zero():
+    if not den.coeffs:
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
+    if not num.coeffs:
         return ZERO
     rem = list(num.coeffs)
     div = den.coeffs

@@ -32,10 +32,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
 from .frozen import Frozen, integer
 from .laurent import LaurentPoly
+
+TYPE_CHECKING = False  # `typing` is not imported, to keep it out of a selftest process
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -63,15 +66,6 @@ class SeifertMatrix(Frozen):
     def size(self) -> int:
         return len(self.entries)
 
-    @property
-    def genus(self) -> int:
-        """Genus of the surface the matrix came from (size/2).
-
-        This is a property of the surface, not a claim that the surface
-        realizes the knot genus.
-        """
-        return self.size // 2
-
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries) + "]"
 
@@ -91,12 +85,6 @@ class BasisChange(Frozen):
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def is_symplectic(self) -> bool:
-        """Whether P*J*P^T = J for the standard block form J."""
-        P = self.entries
-        J = standard_form(self.size // 2)
-        return _mat_mul(_mat_mul(P, J), _transpose(P)) == J
 
 
 # -- determinants -------------------------------------------------------

@@ -172,7 +172,7 @@ def alexander_sanity() -> str:
     companion = Atom("J", 1)
     for m in range(-6, 7):
         got = cli.report(Ksat(companion, Unknot(), m, -1)).facts.alexander
-        twist = LaurentPoly.from_terms({0: -m, 1: 1 + 2 * m, 2: -m})
+        twist = LaurentPoly(0, (-m, 1 + 2 * m, -m))
         _check(unit_equivalent(got, twist),
                f"m={m}: twisted double polynomial {got} != twist form {twist}")
     for m in range(-3, 4):

@@ -178,7 +178,7 @@ class TestAlexander:
     def test_twist_family(self):
         for m in range(-5, 6):
             got = alexander_of(Ksat(Atom("J", 2), Unknot(), m, -1))
-            expected = LaurentPoly.from_terms({0: -m, 1: 1 + 2 * m, 2: -m})
+            expected = LaurentPoly(0, (-m, 1 + 2 * m, -m))
             assert unit_equivalent(got, expected)
 
     def test_sum_multiplies(self):
@@ -382,7 +382,7 @@ class TestAgainstTheSpineSeifertMatrix:
             return False
         assert alexander_polynomial(V).canonical() == want, render(e)
         if V.size:
-            P = random_symplectic(V.genus, rng.randrange(2 ** 30), rng.randint(1, 12))
+            P = random_symplectic(V.size // 2, rng.randrange(2 ** 30), rng.randint(1, 12))
             assert alexander_polynomial(change_basis(V, P)).canonical() == want, render(e)
         return True
 

@@ -181,7 +181,8 @@ class TestRows:
                 type("Sub", (cls,), {"__slots__": ()})
 
     def test_non_node_is_attribute_error(self):
-        for call in (lambda: render(3), lambda: fold(3, lambda node, kids: None)):
+        for call in (lambda: render(3), lambda: render("trefoil"), lambda: render([]),
+                     lambda: fold(3, lambda node, kids: None)):
             with pytest.raises(AttributeError):
                 call()
 

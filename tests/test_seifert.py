@@ -8,7 +8,7 @@ import pytest
 
 import seifert_oracle
 from knotfog import seifert
-from knotfog.laurent import LaurentPoly, ONE, ZERO, unit_equivalent
+from knotfog.laurent import LaurentPoly, ONE, unit_equivalent
 from knotfog.seifert import (BasisChange, SeifertMatrix, alexander_polynomial,
                              change_basis, int_det, intersection_form,
                              random_symplectic, standard_form, theta)
@@ -18,28 +18,11 @@ BASE = LaurentPoly(0, (-2, 5, -2))
 TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
 
 
-def det_cofactor(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Oracle: Laplace expansion along the first row, over ZZ[t, 1/t]."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return m[0][0]
-    total = ZERO
-    for j in range(n):
-        top = m[0][j]
-        if top.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = top * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def cofactor_alexander(V: SeifertMatrix) -> LaurentPoly:
-    n = V.size
-    return det_cofactor([[LaurentPoly.from_terms({0: V.entries[i][j], 1: -V.entries[j][i]})
-                          for j in range(n)] for i in range(n)])
+def is_symplectic(P: BasisChange) -> bool:
+    """Whether P*J*P^T = J for the standard block form J."""
+    J = standard_form(P.size // 2)
+    PJ = [[sum(p * j for p, j in zip(row, col)) for col in zip(*J)] for row in P.entries]
+    return tuple(tuple(sum(a * b for a, b in zip(row, q)) for q in P.entries) for row in PJ) == J
 
 
 class TestTheta:
@@ -96,18 +79,6 @@ class TestAlexander:
             assert det.canonical() == (BASE ** n).canonical()
         for n in (32, 48, 64):  # at scale: one determinant that skips the zeros
             assert alexander_polynomial(theta(n)).canonical() == (BASE ** n).canonical()
-
-    def test_bareiss_agrees_with_cofactor(self):
-        rng = random.Random(1009)
-        for _ in range(150):
-            n = rng.choice((0, 2, 4, 6))
-            V = SeifertMatrix([[rng.randint(-4, 4) for _ in range(n)]
-                               for _ in range(n)])
-            assert alexander_polynomial(V) == cofactor_alexander(V)
-
-    def test_bareiss_agrees_with_cofactor_on_family(self):
-        for n in (1, 2, 3):
-            assert alexander_polynomial(theta(n)) == cofactor_alexander(theta(n))
 
     def test_agrees_with_int_det_off_the_sample_points(self):
         # The routine samples only x = 2^B, with B >= 2; these small points
@@ -288,10 +259,10 @@ class TestSeifertMatrixType:
                                                            f"got {bad!r}")):
                 cls(((1, bad), (0, 1)))
 
-    def test_genus_is_half_size(self):
-        assert theta(3).genus == 3
-        assert theta(1).genus == 1
-        assert SeifertMatrix(()).genus == 0
+    def test_size_is_twice_the_genus(self):
+        assert theta(3).size == 6
+        assert theta(1).size == 2
+        assert SeifertMatrix(()).size == 0
 
 
 class TestIntersectionForm:
@@ -371,7 +342,12 @@ class TestRandomSymplectic:
         for seed in range(40):
             g = 1 + seed % 3
             P = random_symplectic(g, seed=seed, length=2 + seed % 7)
-            assert P.is_symplectic()
+            assert is_symplectic(P)
+
+    def test_check_rejects_a_unimodular_non_symplectic_basis(self):
+        # diag(1, -1) has det -1 and sends J to -J
+        assert not is_symplectic(BasisChange(((1, 0), (0, -1))))
+        assert is_symplectic(BasisChange(((1, 0), (0, 1))))
 
     def test_deterministic_in_seed(self):
         assert random_symplectic(2, 99, 6) == random_symplectic(2, 99, 6)
