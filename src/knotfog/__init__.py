@@ -19,8 +19,8 @@ _EXPORTS = {
         "facts_of", "genus_of", "satellite_of_first", "slice_of",
         "trivial_of"), "classical"),
     **dict.fromkeys((
-        "BasisWitness", "BoundRecord", "CertificateCheck", "FirstOrderResult",
-        "WeakGropeCertificate", "first_order_genus", "min_basis_bound"), "firstorder"),
+        "BasisWitness", "BoundRecord", "FirstOrderResult", "WeakGropeCertificate",
+        "first_order_genus", "min_basis_bound"), "firstorder"),
     **dict.fromkeys((
         "Atom", "Fig8", "Kfam", "KnotExpr", "Ksat", "ParseError", "Sum", "Trefoil",
         "TriState", "Unknot", "Wh0", "parse", "random_expr", "render", "validate"),

@@ -47,15 +47,8 @@ class IntInterval(Frozen):
     def __str__(self) -> str:
         return f"[{self.lo}, {'inf' if self.hi is None else self.hi}]"
 
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi}
 
-
-class Provenance(collections.namedtuple("Provenance", "fact rule anchor")):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"fact": self.fact, "rule": self.rule, "anchor": self.anchor}
+Provenance = collections.namedtuple("Provenance", "fact rule anchor")
 
 
 class KnotFacts(collections.namedtuple(
@@ -65,16 +58,6 @@ class KnotFacts(collections.namedtuple(
     TriStates, and a tuple of Provenance records."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "genus": self.genus.to_json(),
-            "alexander": "unknown" if self.alexander is None else self.alexander.to_json(),
-            "slice": str(self.slice),
-            "in_R": str(self.in_R),
-            "trivial": str(self.trivial),
-            "provenance": [p.to_json() for p in self.provenance],
-        }
 
 
 def genus_one_alexander(k: int) -> LaurentPoly:
@@ -332,7 +315,6 @@ def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:
     provenance = tuple([Provenance(fact, rule, _ANCHORS[rule]) for fact, rule in (
         *zip(("genus", "alexander", "slice"), facts.rules),
         ("in_R", "class-r/definition"), ("trivial", "trivial/genus"))])
-    if alexander is not None:
-        assert abs(alexander.evaluate(1)) == 1, \
-            f"Alexander polynomial of {render(e)} fails the determinant-one check"
+    if alexander is not None and abs(alexander.evaluate(1)) != 1:
+        raise AssertionError(f"Alexander polynomial of {render(e)} fails the determinant-one check")
     return KnotFacts(facts.genus, alexander, facts.slice, facts.in_R, facts.trivial, provenance)

@@ -37,10 +37,22 @@ class Report(collections.namedtuple("Report", "expression facts fog warnings")):
     __slots__ = ()
 
     def to_json(self) -> dict:
+        """The `--json` schema, spelled here only; the records' fields are
+        their keys, in order."""
+        facts, fog, alexander = self.facts, self.fog, self.facts.alexander
         return {
             "expression": self.expression,
-            "facts": self.facts.to_json(),
-            "first_order_genus": self.fog.to_json(),
+            "facts": {
+                "genus": {"lo": facts.genus.lo, "hi": facts.genus.hi},
+                "alexander": "unknown" if alexander is None else
+                             {"min_degree": alexander.min_degree, "coeffs": list(alexander.coeffs)},
+                "slice": str(facts.slice),
+                "in_R": str(facts.in_R),
+                "trivial": str(facts.trivial),
+                "provenance": [record._asdict() for record in facts.provenance],
+            },
+            "first_order_genus": {"lo": fog.lo, "hi": fog.hi,
+                                  "provenance": [record._asdict() for record in fog.provenance]},
             "warnings": list(self.warnings),
         }
 
@@ -95,14 +107,17 @@ def family_table(n_max: int) -> str:
     for n in range(1, n_max + 1):
         answer = report(Wh0(Kfam(n)))
         facts, fog = answer.facts, answer.fog
-        assert fog.interval.is_point(), f"family row {n} has an open interval"
-        assert facts.genus == classical.IntInterval.point(1)
-        assert facts.alexander is not None and facts.alexander.is_one()
-        assert str(facts.slice) == "yes"
+        # checks that can fail only on a bug, raised so that `python -O` keeps them
+        if not (fog.interval.is_point() and facts.genus == classical.IntInterval.point(1)
+                and facts.alexander is not None and facts.alexander.is_one()
+                and str(facts.slice) == "yes"):
+            raise AssertionError(f"family row {n}: genus {facts.genus}, alexander "
+                                 f"{facts.alexander}, slice {facts.slice}, g1 {fog.interval}")
         seen.append(fog.lo)
         rows.append((answer.expression, str(facts.genus.lo), str(facts.alexander),
                      str(facts.slice), str(fog.lo), str(fog.hi)))
-    assert len(set(seen)) == len(seen), f"family g1 values not pairwise distinct: {seen}"
+    if len(set(seen)) != len(seen):
+        raise AssertionError(f"family g1 values not pairwise distinct: {seen}")
     widths = [max(len(row[i]) for row in rows) for i in range(len(_FAMILY_HEADER))]
     return "\n".join(
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()

@@ -59,15 +59,9 @@ class WeakGropeCertificate(Frozen):
         return sum(self.second_stage_genera)
 
 
-class CertificateCheck(collections.namedtuple("CertificateCheck", "ok reasons", defaults=((),))):
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
-    """Whether the certificate can be valid for an expression with these facts.
+def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> tuple[str, ...]:
+    """Why the certificate cannot be valid for an expression with these
+    facts; empty if it can be.
 
     The first stage must be a minimal genus surface, so its genus must
     equal the (exactly known) genus of the expression; and no second
@@ -81,7 +75,7 @@ def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> CertificateCheck:
         reasons.append("first stage not minimal genus")
     if facts.trivial is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
         reasons.append("zero second stage on nontrivial knot")
-    return CertificateCheck(not reasons, tuple(reasons))
+    return tuple(reasons)
 
 
 class BasisWitness(Frozen):
@@ -98,14 +92,8 @@ class BasisWitness(Frozen):
             object.__setattr__(self, name, field)
 
 
-class BoundRecord(collections.namedtuple("BoundRecord", "bound value rule anchor")):
-    """One bound of a first-order interval: `bound` is "lo" or "hi"."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"bound": self.bound, "value": self.value,
-                "rule": self.rule, "anchor": self.anchor}
+# One bound of a first-order interval: `bound` is "lo" or "hi".
+BoundRecord = collections.namedtuple("BoundRecord", "bound value rule anchor")
 
 
 class FirstOrderResult(collections.namedtuple("FirstOrderResult", "interval provenance")):
@@ -120,10 +108,6 @@ class FirstOrderResult(collections.namedtuple("FirstOrderResult", "interval prov
     @property
     def hi(self) -> int | None:
         return self.interval.hi
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi,
-                "provenance": [r.to_json() for r in self.provenance]}
 
 
 # The cache no longer saves time; it stays because perfbench's tracer
@@ -201,7 +185,9 @@ def first_order_result(lo: tuple[int, str], hi: tuple[int, str] | None) -> First
 
 
 def _certified(cert: WeakGropeCertificate, facts: NodeFacts, rule: str) -> tuple[int, str]:
-    assert _check(cert, facts)
+    reasons = _check(cert, facts)
+    if reasons:  # a bug in the rules, so `python -O` must keep this check
+        raise AssertionError(f"invalid {rule} certificate: {'; '.join(reasons)}")
     return cert.value, rule
 
 

@@ -168,9 +168,6 @@ class LaurentPoly(Frozen):
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
 
-    def to_json(self) -> dict:
-        return {"min_degree": self.min_degree, "coeffs": list(self.coeffs)}
-
 
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))

@@ -314,7 +314,7 @@ class TestFacts:
         assert (by_fact["genus"], by_fact["alexander"], by_fact["slice"]) == rules
 
     def test_json_shape(self):
-        data = facts_of(Trefoil()).to_json()
+        data = cli.report(Trefoil()).to_json()["facts"]
         assert data["genus"] == {"lo": 1, "hi": 1}
         assert data["alexander"] == {"min_degree": 0, "coeffs": [1, -1, 1]}
         assert data["slice"] == "no"
@@ -323,7 +323,7 @@ class TestFacts:
         assert all(set(p) == {"fact", "rule", "anchor"} for p in data["provenance"])
 
     def test_unknown_alexander_serialized(self):
-        assert facts_of(Atom("J", 1)).to_json()["alexander"] == "unknown"
+        assert cli.report(Atom("J", 1)).to_json()["facts"]["alexander"] == "unknown"
 
 
 # Leaves of atom-free `#` chains: every factor kind, a unit q_0 and a double.

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -324,6 +325,12 @@ class TestFamilyTable:
         cli.main(["family-table", "--n", "8"])
         assert capsys.readouterr().out == first
 
+    def test_optimized_run_prints_the_same(self):
+        plain = run_cli("family-table", "--n", "12")
+        optimized = run_python("-O", "-m", "knotfog.cli", "family-table", "--n", "12")
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout
+
 
 class SelftestRun(NamedTuple):
     status: int
@@ -523,7 +530,7 @@ class TestLazyExports:
 
     def test_public_names_are_unchanged(self):
         assert knotfog.__all__ == [
-            "Atom", "BasisChange", "BasisWitness", "BoundRecord", "CertificateCheck",
+            "Atom", "BasisChange", "BasisWitness", "BoundRecord",
             "Fig8", "FirstOrderResult", "IntInterval", "Kfam", "KnotExpr", "KnotFacts",
             "Ksat", "LaurentPoly", "ONE", "ParseError", "Provenance", "SeifertMatrix",
             "Sum", "Trefoil", "TriState", "Unknot", "WeakGropeCertificate", "Wh0",
@@ -540,7 +547,7 @@ class TestLazyExports:
         public = {cls.__name__: [n for n in dir(cls) if not n.startswith("_")]
                   for cls in (knotfog.LaurentPoly, knotfog.SeifertMatrix, knotfog.BasisChange)}
         assert public == {
-            "LaurentPoly": ["canonical", "coeffs", "evaluate", "is_one", "min_degree", "to_json"],
+            "LaurentPoly": ["canonical", "coeffs", "evaluate", "is_one", "min_degree"],
             "SeifertMatrix": ["entries", "size"],
             "BasisChange": ["entries", "size"],
         }
@@ -559,3 +566,13 @@ class TestLazyExports:
             knotfog.nope  # noqa: B018
         with pytest.raises(ImportError):
             exec("from knotfog import nope", {})
+
+
+class TestNoAssertStatements:
+    def test_source_has_no_assert(self):
+        # `python -O` strips asserts; a check that can fail only on a bug raises instead
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(knotfog.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert found == []

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
+from test_cli import run_python
 from test_golden import HAND_PICKED
 
-from knotfog import classical, firstorder
+from knotfog import classical, cli, firstorder
 from knotfog.classical import IntInterval, genus_of, node_facts
 from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _check,
                                 first_order_genus, min_basis_bound, step)
@@ -34,29 +35,41 @@ class TestCertificate:
 
 
 def check_certificate(cert, e):
-    """The certificate check on e's folded facts."""
+    """Why the certificate fails on e's folded facts; empty if it can be valid."""
     return _check(cert, fold(e, node_facts))
 
 
 class TestCheckCertificate:
     def test_trefoil_certificate_valid(self):
-        assert check_certificate(WeakGropeCertificate(1, (1, 1)), Trefoil()).ok
+        assert check_certificate(WeakGropeCertificate(1, (1, 1)), Trefoil()) == ()
 
     def test_wrong_first_stage(self):
-        check = check_certificate(WeakGropeCertificate(2, (1, 1, 1, 1)), Trefoil())
-        assert not check
-        assert "first stage not minimal genus" in check.reasons
+        reasons = check_certificate(WeakGropeCertificate(2, (1, 1, 1, 1)), Trefoil())
+        assert "first stage not minimal genus" in reasons
 
     def test_zero_stage_on_nontrivial(self):
-        check = check_certificate(WeakGropeCertificate(1, (0, 1)), Fig8())
-        assert not check
-        assert "zero second stage on nontrivial knot" in check.reasons
+        reasons = check_certificate(WeakGropeCertificate(1, (0, 1)), Fig8())
+        assert "zero second stage on nontrivial knot" in reasons
 
     def test_unknown_genus(self):
         fuzzy = Ksat(Unknot(), Unknot(), 2, 3)
-        check = check_certificate(WeakGropeCertificate(1, (1, 1)), fuzzy)
-        assert not check
-        assert "genus of expression not exactly known" in check.reasons
+        reasons = check_certificate(WeakGropeCertificate(1, (1, 1)), fuzzy)
+        assert "genus of expression not exactly known" in reasons
+
+    def test_wrong_certificate_raises_under_optimization(self):
+        # `_certified` guards every upper bound; the check must survive `python -O`.
+        proc = run_python("-O", "-c", (
+            "from knotfog.classical import node_facts\n"
+            "from knotfog.firstorder import WeakGropeCertificate, _certified\n"
+            "from knotfog.knotlang import Trefoil, fold\n"
+            "try:\n"
+            "    _certified(WeakGropeCertificate(2, (1, 1, 1, 1)), fold(Trefoil(), node_facts),\n"
+            "               'first-order/leaf-certificate')\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"))
+        assert (proc.returncode, proc.stdout) == (
+            0, "invalid first-order/leaf-certificate certificate: first stage not minimal genus\n"), \
+            proc.stderr
 
 
 def brute_force_min(g_alpha, g_beta, radius):
@@ -250,11 +263,11 @@ class TestProvenance:
         assert fired > 100
 
     def test_json_shape(self):
-        data = first_order_genus(Trefoil()).to_json()
+        data = cli.report(Trefoil()).to_json()["first_order_genus"]
         assert data["lo"] == 2 and data["hi"] == 2
         assert all(set(r) == {"bound", "value", "rule", "anchor"}
                    for r in data["provenance"])
-        assert first_order_genus(Kfam(1)).to_json()["hi"] is None
+        assert cli.report(Kfam(1)).to_json()["first_order_genus"]["hi"] is None
 
 
 class TestSoundness:

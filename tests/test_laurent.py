@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotfog import cli
 from knotfog.classical import PRETZEL_BASE
-from knotfog.knotlang import KFAM_MAX
+from knotfog.knotlang import KFAM_MAX, Kfam
 from knotfog.laurent import LaurentPoly, ONE, ZERO, exact_div, unit_equivalent
 
 # -2t^2 + 5t - 2 and its hand-expanded square (schoolbook expansion).
@@ -314,6 +315,9 @@ class TestRendering:
         assert str(p) == reference_str(p)
 
     def test_json_round_trip(self):
-        data = json.loads(json.dumps(BASE.to_json()))
-        assert data == BASE.to_json()
-        assert BASE.to_json() == {"min_degree": 0, "coeffs": [-2, 5, -2]}
+        # a report prints the canonical form: BASE with its sign flipped
+        spelled = cli.report(Kfam(1)).to_json()["facts"]["alexander"]
+        data = json.loads(json.dumps(spelled))
+        assert data == spelled
+        assert spelled == {"min_degree": 0, "coeffs": [2, -5, 2]}
+        assert LaurentPoly(data["min_degree"], data["coeffs"]) == BASE.canonical()
