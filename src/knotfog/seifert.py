@@ -7,11 +7,13 @@ surface.  This module provides:
 * the tridiagonal matrices of the ribbon pretzel family (``theta``),
   built from their two diagonals,
 * the Alexander polynomial f(t) = det(V - t*V^T), read exactly off one
-  integer determinant at t = 2^B (Kronecker substitution): Hadamard's
-  inequality and Parseval's identity bound every coefficient of f below
-  2^(B-1) in absolute value, so they are the balanced base-2^B digits
-  of f(2^B), which must form a palindrome of length 2g + 1 (see
-  alexander_polynomial),
+  integer determinant with half-width entries: with S = V + V^T and
+  A = V - V^T, F(a) = det(a*S + A) is even in a, Hadamard's inequality
+  and Parseval's identity bound its g + 1 coefficients p_i below
+  2^(w-1), so they are the balanced base-2^w digits of F(2^(w/2)); and
+  2^n f(t) = sum_i p_i (1-t)^(2i) (1+t)^(n-2i) turns them into f's
+  coefficients, read as the digits of one integer, which must form a
+  palindrome of length 2g + 1 (see alexander_polynomial),
 * one determinant routine, int_det: fraction-free elimination that
   skips every row a step would only rescale.  Step k multiplies such a
   row by p_k / p_(k-1), with p_k the k-th pivot; over steps s..t-1 the
@@ -94,7 +96,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free elimination.
 
     The module's one determinant routine: it checks unimodularity and
-    evaluates every Alexander polynomial at its one point t = 2^B
+    evaluates every Alexander polynomial's det(a*S + A) at its one point
     (Bareiss, Math. Comp. 22, 1968).
     Step k replaces each row i > k, on columns j > k, by
 
@@ -162,51 +164,92 @@ def _scaled(values: list[int], num: int, den: int) -> list[int]:
 
 
 def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
-    """det(V - t*V^T), exactly, from one determinant; the size-0 matrix
-    (disc) yields 1.
+    """det(V - t*V^T), exactly, from one determinant with half-width
+    entries; the size-0 matrix (disc) yields 1.
 
-    For V of even size n = 2g, f(x) = det(V - x*V^T) is a palindrome:
-    transposing, then negating all n rows,
+    Let V have even size n = 2g, f(t) = det(V - t*V^T) = sum_j c_j t^j,
+    S = V + V^T and A = V - V^T.
 
-        x^n f(1/x) = det(x*V - V^T) = det(x*V^T - V) = (-1)^n f(x) = f(x).
+    The palindrome.  Transposing, then negating all n rows,
 
-    So f = c_0 + c_1*x + ... + c_n*x^n with integers c_j = c_(n-j).
+        t^n f(1/t) = det(t*V - V^T) = det(t*V^T - V) = (-1)^n f(t) = f(t),
 
-    The bound (Hadamard, then Parseval).  For |x| = 1, entry (i, j) of
-    V - x*V^T has absolute value at most |V_ij| + |V_ji|, and Hadamard's
-    inequality, |det M| <= the product of the Euclidean lengths of M's
-    rows, gives |f(x)| <= R on the unit circle, with
+    so the integers c_j satisfy c_j = c_(n-j).
 
-        R^2 = prod_i sum_j (|V_ij| + |V_ji|)^2.
+    Evenness.  F(a) = det(a*S + A) = det((a+1)*V + (a-1)*V^T).  S is
+    symmetric and A antisymmetric, so transposing, then negating all n
+    rows,
 
-    Parseval's identity, sum_j c_j^2 = (1/2pi) * integral over [0, 2pi]
-    of |f(e^(i*s))|^2 ds, then gives sum_j c_j^2 <= R^2, so every
-    |c_j| <= r = isqrt(R^2), the c_j being integers.  With
-    B = bit_length(r + 1) + 1, r + 1 < 2^(B-1), so every |c_j| < 2^(B-1)
+        F(-a) = det(-a*S + A) = det(-a*S - A) = (-1)^n F(a) = F(a),
+
+    and F(a) = sum_(i<=g) p_i a^(2i) with integers p_i.
+
+    The bound on F (Hadamard, then Parseval).  For |a| = 1, entry (i, j)
+    of a*S + A has absolute value at most |V_ij + V_ji| + |V_ij - V_ji|,
+    and Hadamard's inequality, |det M| <= the product of the Euclidean
+    lengths of M's rows, gives |F(a)| <= R on the unit circle, with
+
+        R^2 = prod_i sum_j (|V_ij + V_ji| + |V_ij - V_ji|)^2.
+
+    Parseval's identity, sum_i p_i^2 = (1/2pi) * integral over [0, 2pi]
+    of |F(e^(i*u))|^2 du, then gives sum_i p_i^2 <= R^2, so every
+    |p_i| <= r = isqrt(R^2), the p_i being integers.  The width w, the
+    least even number >= bit_length(r) + 1, makes every |p_i| < 2^(w-1)
     (see von zur Gathen and Gerhard, Modern Computer Algebra, 8.4, 16.6).
 
-    The digits (Kronecker substitution).  At X = 2^B, one determinant
-    gives D = f(X) = sum_j c_j X^j.  Every integer has exactly one
-    expansion sum_j d_j X^j in balanced digits -X/2 <= d_j < X/2, all
-    but finitely many 0: d_0 must be the one residue of D mod X in that
-    window, and the others the digits of the integer (D - d_0) / X.  The
-    c_j are such digits, so the n + 1 digits read off the low end are
-    c_0, ..., c_n and 0 is left over.  A value left over, or digits that
-    are not a palindrome, can only be a bug, so either raises
+    The digits of F (Kronecker substitution).  At a = 2^(w/2), one
+    determinant gives D = F(a) = sum_i p_i Y^i with Y = 2^w.  Every
+    integer has exactly one expansion sum_i d_i Y^i in balanced digits
+    -Y/2 <= d_i < Y/2, all but finitely many 0: d_0 must be the one
+    residue of D mod Y in that window, and the others the digits of the
+    integer (D - d_0) / Y.  The p_i are such digits, so the g + 1 digits
+    read off the low end are p_0, ..., p_g and 0 is left over.  The
+    entries a*S_ij + A_ij have about w/2 bits, and D about g*w: half of
+    what det(V - Y*V^T) would carry at the same width.
+
+    Back to f.  H(x, y) = det(x*S + y*A) is homogeneous of degree n with
+    H(a, 1) = F(a), so H(x, y) = sum_i p_i x^(2i) y^(n-2i).  At x = 1 - t,
+    y = 1 + t the matrix is x*S + y*A = 2V - 2t*V^T, so
+
+        2^n f(t) = sum_i p_i (1-t)^(2i) (1+t)^(n-2i).
+
+    The coefficients of each term (1-t)^(2i) (1+t)^(n-2i) have absolute
+    values summing to at most 2^(2i) * 2^(n-2i) = 2^n, so every
+    |c_j| <= s = sum_i |p_i|.  At X = 2^(bit_length(s) + 1), Horner's
+    rule in the pair (X-1)^2, (X+1)^2 gives G = 2^n f(X), and f(X) is an
+    integer since the c_j are, so the division by 2^n is exact.  As
+    s < X/2, the n + 1 balanced base-X digits of f(X) are c_0, ..., c_n
+    with 0 left over.
+
+    A value left over in either expansion, a remainder mod 2^n, or
+    digits that are not a palindrome can only be a bug, so each raises
     ArithmeticError.
     """
     n = V.size
+    g = n // 2
     rows = V.entries
-    bits = _digit_bits(V)
+    cols = tuple(zip(*rows))
+    square = 1
+    for row, col in zip(rows, cols):
+        square *= sum((abs(a + b) + abs(a - b)) ** 2 for a, b in zip(row, col) if a or b)
+    half = (math.isqrt(square).bit_length() + 2) // 2
+    value = int_det([[((a + b) << half) + a - b if a or b else 0 for a, b in zip(row, col)]
+                     for row, col in zip(rows, cols)])
+    evens, value = _balanced_digits(value, 2 * half, g + 1)
+    if value:
+        raise ArithmeticError(f"det(a*S + A) at a = 2^{half} has a {value.bit_length()}-bit "
+                              f"value left over past degree {n} in a, V = {V}")
+    bits = sum(map(abs, evens)).bit_length() + 1
     X = 1 << bits
-    value = int_det([[a - X * b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))])
-    mask, coeffs = X - 1, []
-    for _ in range(n + 1):
-        digit = value & mask
-        if digit >> (bits - 1):
-            digit -= X
-        coeffs.append(digit)
-        value = (value - digit) >> bits
+    down, up = (X - 1) ** 2, (X + 1) ** 2
+    value, power = evens[g], 1
+    for p in reversed(evens[:g]):
+        power *= up
+        value = value * down + p * power
+    if value & ((1 << n) - 1):
+        raise ArithmeticError(f"sum_i p_i (1-t)^(2i) (1+t)^(n-2i) at t = 2^{bits} is not "
+                              f"divisible by 2^{n}, V = {V}")
+    coeffs, value = _balanced_digits(value >> n, bits, n + 1)
     if value:
         raise ArithmeticError(f"det(V - t*V^T) at t = 2^{bits} has a {value.bit_length()}-bit "
                               f"value left over past degree {n}, V = {V}")
@@ -216,14 +259,18 @@ def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
     return LaurentPoly(0, coeffs)
 
 
-def _digit_bits(V: SeifertMatrix) -> int:
-    """B with every coefficient of det(V - t*V^T) below 2^(B-1) in absolute
-    value: B = bit_length(isqrt(R^2) + 1) + 1 for Hadamard's R^2 (proof in
-    alexander_polynomial)."""
-    square = 1
-    for row, col in zip(V.entries, zip(*V.entries)):
-        square *= sum((abs(a) + abs(b)) ** 2 for a, b in zip(row, col))
-    return (math.isqrt(square) + 1).bit_length() + 1
+def _balanced_digits(value: int, bits: int, count: int) -> tuple[list[int], int]:
+    """The `count` low balanced base-2^bits digits of value, each in
+    [-2^(bits-1), 2^(bits-1)), and the value left over past them."""
+    X = 1 << bits
+    mask, digits = X - 1, []
+    for _ in range(count):
+        digit = value & mask
+        if digit >> (bits - 1):
+            digit -= X
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits, value
 
 
 # -- intersection forms and congruence -----------------------------------

@@ -12,6 +12,13 @@ a full matrix and multiplies it into P.  All are kept as they were,
 except that the Bareiss division check raises ArithmeticError instead of
 asserting.  The module's routines must return exactly what these return.
 
+`even_form`, `even_square` and `half_width` are an independent account of
+the bounds `seifert.alexander_polynomial` reads its one determinant with:
+the coefficients of F(a) = det(a*S + A), S = V + V^T, A = V - V^T, expanded
+from f = det(V - t*V^T) with no division; Hadamard's R^2 for a*S + A on the
+unit circle, from its definition; and the least even width w with
+isqrt(R^2) < 2^(w-1), found by search.
+
 `spine_matrix` is an independent semantics for the classical engine's
 Alexander polynomials: a Seifert matrix for every tree, built from the
 leaves of its `#` spine.  det(V - t*V^T) of it must be the polynomial
@@ -89,6 +96,44 @@ def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
         poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
         poly[0] += c
     return LaurentPoly(0, poly)
+
+
+def even_form(V: SeifertMatrix, f: LaurentPoly) -> list[int]:
+    """The coefficients of F(a) = det(a*S + A), lowest first, from those of
+    f(t) = det(V - t*V^T): a*S + A = (1+a)*V - (1-a)*V^T, so with
+    f = sum_j c_j t^j, F(a) = sum_j c_j (1-a)^j (1+a)^(n-j), expanded by
+    Horner's rule in the pair (1-a), (1+a)."""
+    n = V.size
+    c = [0] * (n + 1)
+    for j, x in enumerate(f.coeffs, f.min_degree):
+        c[j] = x
+    F, power = [c[n]], [1]
+    for x in reversed(c[:n]):
+        power = _times_one_plus(power, 1)
+        F = [y + x * z for y, z in zip(_times_one_plus(F, -1), power)]
+    return F
+
+
+def _times_one_plus(poly: list[int], sign: int) -> list[int]:
+    """poly * (1 + sign*a), lowest coefficient first."""
+    return [y + sign * z for y, z in zip(poly + [0], [0] + poly)]
+
+
+def even_square(V: SeifertMatrix) -> int:
+    """R^2 = prod_i sum_j (|S_ij| + |A_ij|)^2, which bounds |det(a*S + A)|^2
+    for |a| = 1 by Hadamard's inequality, straight from its definition."""
+    n, m = V.size, V.entries
+    return math.prod(sum((abs(m[i][j] + m[j][i]) + abs(m[i][j] - m[j][i])) ** 2
+                         for j in range(n))
+                     for i in range(n))
+
+
+def half_width(V: SeifertMatrix) -> int:
+    """The least even w with isqrt(even_square(V)) < 2^(w-1)."""
+    r, w = math.isqrt(even_square(V)), 2
+    while r >= 1 << w - 1:
+        w += 2
+    return w
 
 
 def theta(n: int) -> SeifertMatrix:

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seifert_oracle
 from knotfog import seifert
@@ -16,6 +18,18 @@ from test_cli import run_python
 
 BASE = LaurentPoly(0, (-2, 5, -2))
 TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
+
+# What each decoding check of alexander_polynomial says when it trips, for
+# V of size 4: digits of F(a) = det(a*S + A) left over, a remainder mod
+# 2^4, digits of f left over, and digits of f that are not a palindrome.
+CHECKS = {
+    "F digits": r"det\(a\*S \+ A\) at a = 2\^\d+ has a \d+-bit value left over "
+                r"past degree 4 in a",
+    "2^n": r"at t = 2\^\d+ is not divisible by 2\^4",
+    "f digits": r"det\(V - t\*V\^T\) at t = 2\^\d+ has a \d+-bit value left over "
+                r"past degree 4,",
+    "palindrome": r"has digits that are not a palindrome",
+}
 
 
 def is_symplectic(P: BasisChange) -> bool:
@@ -81,8 +95,8 @@ class TestAlexander:
             assert alexander_polynomial(theta(n)).canonical() == (BASE ** n).canonical()
 
     def test_agrees_with_int_det_off_the_sample_points(self):
-        # The routine samples only x = 2^B, with B >= 2; these small points
-        # are never sampled.
+        # The routine takes one determinant, of a*S + A at a = 2^(w/2), and
+        # none of V - x*V^T; these are checked against int_det directly.
         rng = random.Random(4242)
         for _ in range(500):
             n = rng.choice((0, 2, 4, 6, 8, 10))
@@ -96,33 +110,84 @@ class TestAlexander:
                              for i in range(n))
                 assert poly.evaluate(x) == int_det(rows)
 
-    def test_skewed_determinant_breaks_the_palindrome(self, monkeypatch):
-        # f(2^B) + 1 moves the lowest digit c_0 by 1 and no other, since
-        # |c_0| + 1 < 2^(B-1), so c_0 != c_n after it.
+    def test_skewed_determinant_breaks_the_division_by_2_to_the_n(self, monkeypatch):
+        # F(2^(w/2)) + 1 moves the lowest digit p_0 by 1 and no other, since
+        # |p_0| + 1 < 2^(w-1) here.  X - 1 and X + 1 are odd, so
+        # G = sum_i p_i (X-1)^(2i) (X+1)^(n-2i) has the parity of sum_i p_i,
+        # which is even before the skew (G = 2^n f(X)) and odd after it.
         monkeypatch.setattr(seifert, "int_det", lambda rows: int_det(rows) + 1)
-        with pytest.raises(ArithmeticError, match="palindrome"):
+        with pytest.raises(ArithmeticError, match=CHECKS["2^n"]):
             alexander_polynomial(theta(2))
 
     def test_value_past_the_bound_leaves_digits_over(self, monkeypatch):
-        # f(2^B) + 2^(B*(n+1)) has the same n + 1 low digits and a 1 above them.
+        # F(2^(w/2)) + 2^(w*(g+1)) has the same g + 1 low digits and a 1 above them.
         V = theta(2)
-        past = 1 << seifert._digit_bits(V) * (V.size + 1)
+        past = 1 << seifert_oracle.half_width(V) * (V.size // 2 + 1)
         monkeypatch.setattr(seifert, "int_det", lambda rows: int_det(rows) + past)
-        with pytest.raises(ArithmeticError, match="left over"):
+        with pytest.raises(ArithmeticError, match=CHECKS["F digits"]):
             alexander_polynomial(V)
 
+    def test_too_narrow_digits_of_f_leave_digits_over(self, monkeypatch):
+        # No value of int_det reaches this check: once 2^n divides G, the
+        # integer G / 2^n is at most s (X^(n+1) - 1) / (X - 1) in absolute
+        # value, s = sum_i |p_i| < X/2, which n + 1 balanced base-X digits
+        # reach.  So the digits of f are read 2 bits wide instead.
+        read = seifert._balanced_digits
+        monkeypatch.setattr(seifert, "_balanced_digits", lambda value, bits, count:
+                            read(value, 2 if count == 5 else bits, count))
+        with pytest.raises(ArithmeticError, match=CHECKS["f digits"]):
+            alexander_polynomial(theta(2))
+
+    def test_determinant_off_the_even_form_breaks_the_palindrome(self, monkeypatch):
+        # Digits (p_0, p_1, p_2) = (1, 15, 0) give 2^4 f(t) = 16 + 4t - 24t^2
+        # + 4t^3 + 16t^4, which is no integer polynomial; at X = 2^6 its
+        # value is still divisible by 2^4, and its digits are
+        # (17, -32, 15, 0, 1).
+        w = seifert_oracle.half_width(theta(2))
+        monkeypatch.setattr(seifert, "int_det", lambda rows: 1 + (15 << w))
+        with pytest.raises(ArithmeticError, match=CHECKS["palindrome"]):
+            alexander_polynomial(theta(2))
+
     def test_decode_checks_raise_under_optimization(self):
+        # the four faults above, in CHECKS order, each under `python -O`
+        w = seifert_oracle.half_width(theta(2))
         proc = run_python("-O", "-c", (
             "from knotfog import seifert\n"
             "V = seifert.theta(2)\n"
-            "det = seifert.int_det\n"
-            "for skew in (1, 1 << seifert._digit_bits(V) * (V.size + 1)):\n"
-            "    seifert.int_det = lambda rows: det(rows) + skew\n"
+            "det, read = seifert.int_det, seifert._balanced_digits\n"
+            f"faults = [(lambda rows: det(rows) + (1 << 3 * {w}), read),\n"
+            "          (lambda rows: det(rows) + 1, read),\n"
+            "          (det, lambda value, bits, count:\n"
+            "                read(value, 2 if count == 5 else bits, count)),\n"
+            f"          (lambda rows: 1 + (15 << {w}), read)]\n"
+            "for seifert.int_det, seifert._balanced_digits in faults:\n"
             "    try:\n"
             "        seifert.alexander_polynomial(V)\n"
-            "    except ArithmeticError:\n"
-            "        print('raised')\n"))
-        assert (proc.returncode, proc.stdout) == (0, "raised\nraised\n"), proc.stderr
+            "    except ArithmeticError as e:\n"
+            "        print(e)\n"))
+        lines = proc.stdout.splitlines()
+        assert (proc.returncode, len(lines)) == (0, 4), proc.stderr
+        for line, pattern in zip(lines, CHECKS.values()):
+            assert re.search(pattern, line), (line, pattern)
+
+    @pytest.mark.parametrize("which", ("theta(16)", "moved genus 8"))
+    def test_determinant_entries_are_half_width(self, which, monkeypatch):
+        # The one determinant is of a*S + A with a = 2^(w/2), and
+        # |S_ij|, |A_ij| <= 2m for m = max |V_ij|, so each entry is below
+        # 2m (2^(w/2) + 1) <= 2^(w/2 + bit_length(m) + 2).  det(V - 2^w V^T)
+        # would have entries of about w + bit_length(m) bits.
+        if which == "theta(16)":
+            V = theta(16)
+        else:
+            rng = random.Random(8)
+            V = change_basis(_random_standard(rng, 8), random_symplectic(8, seed=8, length=12))
+        seen = []
+        monkeypatch.setattr(seifert, "int_det", lambda rows: seen.append(rows) or int_det(rows))
+        assert_matches_oracle(V, seifert_oracle.alexander_polynomial(V))
+        m = max(abs(x) for row in V.entries for x in row)
+        assert len(seen) == 1
+        assert (max(x.bit_length() for row in seen[0] for x in row)
+                <= seifert_oracle.half_width(V) // 2 + m.bit_length() + 2)
 
     def test_loads_no_fractions(self):
         # the route is integers only: one determinant and a digit loop
@@ -176,16 +241,24 @@ def hadamard_square(V: SeifertMatrix) -> int:
 
 def assert_matches_oracle(V: SeifertMatrix, expected: LaurentPoly) -> None:
     """The routine returns exactly `expected`, whose coefficients obey
-    Parseval's |c| <= R and lie in the digit window |c| < 2^(B-1)."""
-    square, window = hadamard_square(V), 1 << seifert._digit_bits(V) - 1
-    assert all(c * c <= square and abs(c) < window for c in expected.coeffs), V
+    Parseval's |c| <= R.  F(a) = det(a*S + A), expanded from `expected`, is
+    even, its coefficients p_i obey sum p_i^2 <= R_F^2 and lie in the
+    digit window |p_i| < 2^(w-1), and every |c| <= sum |p_i|."""
+    square = hadamard_square(V)
+    assert all(c * c <= square for c in expected.coeffs), V
+    F = seifert_oracle.even_form(V, expected)
+    evens, window = F[::2], 1 << seifert_oracle.half_width(V) - 1
+    assert not any(F[1::2]), V
+    assert sum(p * p for p in evens) <= seifert_oracle.even_square(V), V
+    assert all(abs(p) < window for p in evens), V
+    assert all(abs(c) <= sum(map(abs, evens)) for c in expected.coeffs), V
     assert poly_key(alexander_polynomial(V)) == poly_key(expected), V
 
 
 class TestAgainstTheOracle:
-    """The one determinant at t = 2^B gives exactly what the n + 1 dense
-    ones of `seifert_oracle` give, and the oracle's coefficients lie
-    within the bound that B is read from."""
+    """The one determinant of a*S + A gives exactly what the n + 1 dense
+    ones of `seifert_oracle` give, and the oracle's coefficients, of f and
+    of F, lie within the bounds that the widths are read from."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_random_matrices(self, shape):
@@ -216,7 +289,9 @@ class TestAgainstTheOracle:
         # V = diag(m_1*J, ..., m_k*J) with J = [[0, 1], [-1, 0]]: each block
         # gives m^2 (1 + t)^2 with R = 4m^2, so R / max|c| = 4^k / C(2k, k),
         # about sqrt(pi*k): R^2 <= 2n * max|c|^2 for n = 2k, equal at k = 1.
-        # And the digit window is at most twice R: 2^(B-2) <= isqrt(R^2) + 1.
+        # S = 0 and A = 2V, so F(a) = det(2V) = R is constant and R_F = R:
+        # the bound on F is met exactly, and the digit window of F is at
+        # most four times R: 2^(w-3) <= isqrt(R^2).
         rng = random.Random(5151)
         for k in range(1, 25):
             ms = [rng.randint(1, 9) for _ in range(k)]
@@ -232,7 +307,32 @@ class TestAgainstTheOracle:
             assert_matches_oracle(V, expected)
             square, top = hadamard_square(V), max(expected.coeffs)
             assert top * top <= square <= 2 * n * top * top, k
-            assert 1 << seifert._digit_bits(V) - 2 <= math.isqrt(square) + 1, k
+            assert seifert_oracle.even_square(V) == square, k
+            assert seifert_oracle.even_form(V, expected) == [math.isqrt(square)] + [0] * n, k
+            assert 1 << seifert_oracle.half_width(V) - 3 <= math.isqrt(square), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_matrix(self, data):
+        # shapes and sizes drawn so that a counterexample shrinks toward a
+        # small dense matrix with small entries
+        n = 2 * data.draw(st.integers(0, 5), "g")
+        entries = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
+        m = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        shape = data.draw(st.sampled_from(("dense", "banded", "zero-diagonal", "singular")))
+        if shape == "banded":
+            width = data.draw(st.integers(0, 2), "width")
+            m = [[x if abs(i - j) <= width else 0 for j, x in enumerate(row)]
+                 for i, row in enumerate(m)]
+        elif shape == "zero-diagonal":
+            m = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+        elif shape == "singular" and n:  # a row that is a multiple of another, or zero
+            i, j = data.draw(st.integers(0, n - 1), "i"), data.draw(st.integers(0, n - 1), "j")
+            factor = data.draw(st.integers(-3, 3), "factor")
+            m[i] = [factor * x for x in m[j]] if i != j else [0] * n
+        V = SeifertMatrix(m)
+        assert_matches_oracle(V, seifert_oracle.alexander_polynomial(V))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_int_det(self, shape):
