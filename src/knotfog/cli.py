@@ -10,16 +10,24 @@ starting with "-", are read by `read_argv` itself, so that a report
 process does not import argparse and the `gettext` and `locale` modules
 it brings, which took a good share of a cold process's start.
 
-Exit codes: 0 success, 1 self-test failure, 2 usage or parse error, or
-an answer with an integer too long for the interpreter to print, 141
+Exit codes: 0 success, 1 self-test failure, 2 usage or parse error, an
+answer with an integer too long for the interpreter to print, or output
+that cannot be written (stdout closed, or a write failing as on a full
+disk: one `error: cannot write the report: ...` line on stderr), 141
 (128 + SIGPIPE, as a shell reports a process the signal ended) when the
 reader closes stdout early, with nothing on stderr.
 Data output is byte-identical across runs; timing diagnostics go to
 stderr only.
+
+`entry`, the console script and the body of `python -m knotfog.cli`,
+ends the process with `os._exit` once stdout and stderr are flushed and
+the `atexit` handlers have run, skipping the interpreter's teardown;
+`main` returns its status, for in-process callers.
 """
 
 from __future__ import annotations
 
+import atexit
 import collections
 import os
 import sys
@@ -201,14 +209,29 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:  # console-script wrapper
+    """Run `main()` and end the process with its status through `os._exit`,
+    after flushing stdout and stderr and running the `atexit` handlers.
+    The interpreter's teardown, which this skips, frees every object and
+    prints nothing, yet is a large share of a cold report process's wall
+    time.  An exception escaping `main()`, SystemExit included, takes the
+    interpreter's normal exit."""
+    message = ""
     try:
+        if sys.stdout is None:  # started with stdout closed: `knotfog ... >&-`
+            raise OSError("stdout is closed")
         status = main()
         sys.stdout.flush()
     except BrokenPipeError:  # e.g. `knotfog invariants ... | head -1`
-        # the interpreter flushes stdout once more on exit; let it reach nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 141
-    sys.exit(status)
+    except OSError as exc:  # e.g. `knotfog invariants ... > /dev/full`
+        status, message = 2, f"error: cannot write the report: {exc}\n"
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr closed or unwritable as well
+        pass
+    atexit._run_exitfuncs()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import ast
+import atexit
 import contextlib
+import errno
 import importlib
 import io
 import itertools
@@ -135,6 +137,127 @@ class TestBrokenPipe:
             proc.kill()
             proc.wait()
             proc.stderr.close()
+
+
+class Exited(Exception):
+    """Raised by the patched `os._exit`: the status, and the bytes stdout held."""
+
+
+class Unwritable(io.RawIOBase):
+    """A raw stream whose every write fails with `error`."""
+
+    def __init__(self, error: OSError):
+        self.error = error
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data):
+        raise self.error
+
+
+DISK_FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestEntryExit:
+    """`cli.entry()` in process: the patched `os._exit` raises `Exited`, and
+    `atexit._run_exitfuncs` only logs its call, so pytest's own handlers
+    neither run nor get cleared."""
+
+    @pytest.fixture
+    def entry(self, monkeypatch):
+        log = []
+
+        def run(argv: list[str], raw: io.RawIOBase | None) -> tuple[int, bytes | None]:
+            """Exit status and flushed stdout bytes of `knotfog *argv` with a
+            block-buffered stdout writing to `raw`, or no stdout at all."""
+            def fake_exit(status):
+                log.append("exit")
+                raise Exited(status, raw.getvalue() if isinstance(raw, io.BytesIO) else None)
+
+            monkeypatch.setattr(os, "_exit", fake_exit)
+            monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: log.append("atexit"))
+            monkeypatch.setattr(sys, "argv", ["knotfog", *argv])
+            monkeypatch.setattr(sys, "stdout", None if raw is None else io.TextIOWrapper(
+                io.BufferedWriter(raw), encoding="utf-8"))
+            with pytest.raises(Exited) as exc:
+                cli.entry()
+            assert log == ["atexit", "exit"]
+            return exc.value.args
+
+        return run
+
+    def test_report_is_flushed_then_exit_0(self, entry, capsys):
+        assert entry(["invariants", "trefoil"], io.BytesIO()) == (0, TREFOIL_REPORT.encode())
+        assert capsys.readouterr().err == ""
+
+    def test_parse_error_exits_2(self, entry, capsys):
+        assert entry(["invariants", "kfam(0)"], io.BytesIO()) == (2, b"")
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_unprintable_answer_exits_2(self, entry, capsys):
+        text = " # ".join([TestUnprintableAnswer.KSAT] * 3)
+        assert entry(["invariants", text], io.BytesIO()) == (2, b"")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the answer has an integer")
+
+    @pytest.mark.parametrize("expression", ["trefoil", "kfam(300)"])
+    def test_full_stdout_is_one_line_and_exit_2(self, entry, capsys, expression):
+        # the short report fails at the flush, the long one inside print
+        assert entry(["invariants", expression], Unwritable(DISK_FULL)) == (2, None)
+        assert capsys.readouterr().err == \
+            "error: cannot write the report: [Errno 28] No space left on device\n"
+
+    def test_closed_stdout_is_one_line_and_exit_2(self, entry, capsys):
+        assert entry(["invariants", "trefoil"], None) == (2, None)
+        assert capsys.readouterr().err == "error: cannot write the report: stdout is closed\n"
+
+    def test_unwritable_stderr_too_still_exits_2(self, entry, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(
+            io.BufferedWriter(Unwritable(DISK_FULL)), line_buffering=True))
+        assert entry(["invariants", "kfam(0)"], io.BytesIO()) == (2, b"")
+
+    def test_broken_pipe_exits_141_in_silence(self, entry, capsys):
+        pipe = Unwritable(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))
+        assert entry(["invariants", "trefoil"], pipe) == (141, None)
+        assert capsys.readouterr().err == ""
+
+    def test_usage_error_keeps_system_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["knotfog", "bogus"])
+        monkeypatch.setattr(os, "_exit", lambda status: pytest.fail("os._exit called"))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestEntryProcess:
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["table", "json"])
+    def test_long_report_is_what_main_prints(self, flags, capsys):
+        # about 290 KB, more than a pipe holds
+        argv = ["invariants", "kfam(300)", *flags]
+        proc = subprocess.run([sys.executable, "-m", "knotfog.cli", *argv],
+                              capture_output=True, env=python_env(), timeout=60)
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        assert len(expected) > 1 << 16
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == expected
+
+    def test_atexit_handler_still_runs(self):
+        proc = run_python("-c", "import atexit, sys; from knotfog import cli; "
+                          "atexit.register(print, 'handler ran', file=sys.stderr); "
+                          "sys.argv[1:] = ['invariants', 'trefoil']; cli.entry()")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, TREFOIL_REPORT, "handler ran\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_one_line_and_exit_2(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "knotfog.cli", "invariants", "trefoil"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=python_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the report: [Errno 28] No space left on device\n"
 
 
 class TestDecimalDigits:
