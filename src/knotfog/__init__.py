@@ -23,7 +23,7 @@ _EXPORTS = {
         "first_order_genus", "min_basis_bound"), "firstorder"),
     **dict.fromkeys((
         "Atom", "Fig8", "Kfam", "KnotExpr", "Ksat", "ParseError", "Sum", "Trefoil",
-        "TriState", "Unknot", "Wh0", "parse", "random_expr", "render", "validate"),
+        "TriState", "Unknot", "Wh0", "parse", "render", "validate"),
         "knotlang"),
     **dict.fromkeys(("LaurentPoly", "ONE", "ZERO", "unit_equivalent"), "laurent"),
     **dict.fromkeys((

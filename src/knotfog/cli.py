@@ -12,8 +12,10 @@ it brings, which took a good share of a cold process's start.
 
 Exit codes: 0 success, 1 self-test failure, 2 usage or parse error, an
 answer with an integer too long for the interpreter to print, or output
-that cannot be written (stdout closed, or a write failing as on a full
-disk: one `error: cannot write the report: ...` line on stderr), 141
+that cannot be written (stdout closed, a write failing as on a full
+disk, or a report that stdout's encoding cannot encode, as an atom name
+outside ASCII under `PYTHONIOENCODING=ascii`: one `error: cannot write
+the report: ...` line on stderr and nothing on stdout), 141
 (128 + SIGPIPE, as a shell reports a process the signal ended) when the
 reader closes stdout early, with nothing on stderr.
 Data output is byte-identical across runs; timing diagnostics go to
@@ -63,10 +65,6 @@ class Report(collections.namedtuple("Report", "expression facts fog warnings")):
                                   "provenance": [record._asdict() for record in fog.provenance]},
             "warnings": list(self.warnings),
         }
-
-
-def build_report(text: str) -> Report:
-    return report(parse(text))
 
 
 def report(expr: KnotExpr) -> Report:
@@ -176,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "invariants":
         try:
-            answer = build_report(args.expression)
+            answer = report(parse(args.expression))
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
@@ -223,7 +221,7 @@ def entry() -> None:  # console-script wrapper
         sys.stdout.flush()
     except BrokenPipeError:  # e.g. `knotfog invariants ... | head -1`
         status = 141
-    except OSError as exc:  # e.g. `knotfog invariants ... > /dev/full`
+    except (OSError, UnicodeEncodeError) as exc:  # `> /dev/full`, or a stdout in ASCII
         status, message = 2, f"error: cannot write the report: {exc}\n"
     try:
         sys.stderr.write(message)

@@ -10,7 +10,7 @@ is hand-written because every CLI process imports these classes, and
 compiled per class.
 
 `integer` is the one check that a field is an `int` and not a `bool`,
-shared by the syntax nodes and the integer matrices.
+shared by the syntax nodes, the integer matrices and `LaurentPoly.evaluate`.
 """
 
 from __future__ import annotations

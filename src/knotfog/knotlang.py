@@ -41,10 +41,6 @@ import weakref
 
 from .frozen import Frozen, integer
 
-TYPE_CHECKING = False  # `typing` is not imported, to keep it out of a CLI process
-if TYPE_CHECKING:
-    import random
-
 
 # Largest accepted kfam index.  The Alexander polynomial of kfam(n) is
 # (-2t^2 + 5t - 2)^n, whose coefficients are bounded in absolute value by
@@ -113,16 +109,12 @@ class KnotExpr(Frozen):
         return _unpickle, (rows,)
 
 
-def _node(key: tuple, check=None) -> KnotExpr:
+def _node(key: tuple) -> KnotExpr:
     """The one live node with key (class, *fields), held in `_NODES` by its
-    key, children by identity, until it dies: the one interning site.
-    check(key), if given, runs only when no such node lives: a key that
-    finds its node was checked when that node was made."""
+    key, children by identity, until it dies: the one interning site."""
     ref = _NODES.get(key)
     node = ref and ref()
     if node is None:
-        if check:
-            check(key)
         node = object.__new__(key[0])
         for name, value in zip(key[0].__slots__, key[1:]):
             object.__setattr__(node, name, value)
@@ -228,21 +220,15 @@ class Atom(KnotExpr):
                 cable: TriState = TriState.UNKNOWN, slice: TriState = TriState.UNKNOWN):
         if integer(genus, "atom genus") < 1:
             raise ValueError(f"atom genus must be >= 1, got {genus}")
+        if not (name[:1].isalpha() and _tokens(name) == [name, ""]):  # a NAME, before the flags
+            raise ValueError(f"invalid atom name {name!r}")
         if not torus.__class__ is cable.__class__ is slice.__class__ is TriState:
-            _atom_name((cls, name))  # a bad name is reported before a bad flag
             torus, cable, slice = TriState(torus), TriState(cable), TriState(slice)
-        return _node((cls, name, genus, torus, cable, slice), _atom_name)
+        return _node((cls, name, genus, torus, cable, slice))
 
     def pieces(self) -> tuple[str, ...]:
         return (f"atom({self.name}, genus={self.genus}, torus={self.torus}, "
                 f"cable={self.cable}, slice={self.slice})",)
-
-
-def _atom_name(key: tuple) -> None:
-    """Reject an Atom key whose name is not a NAME, as `parse` reads it."""
-    name = key[1]
-    if not (name[:1].isalpha() and _tokens(name) == [name, ""]):
-        raise ValueError(f"invalid atom name {name!r}")
 
 
 class Sum(KnotExpr):
@@ -575,34 +561,3 @@ def validate(e: KnotExpr) -> list[str]:
     from . import classical  # facts engine sits above the language layer
 
     return fold(e, classical.node_facts).warnings()
-
-
-# -- pseudo-random expressions -------------------------------------------------
-
-
-_ATOM_NAMES = ("A", "B", "J", "L", "X", "Y")
-
-
-def random_expr(rng: random.Random, max_depth: int = 4) -> KnotExpr:
-    """Seeded generator of construction trees, used by the property suites."""
-    tri = lambda: rng.choice((TriState.YES, TriState.NO, TriState.UNKNOWN))
-    leaf_kinds = ("unknot", "trefoil", "fig8", "kfam", "atom")
-    all_kinds = leaf_kinds + ("wh0", "ksat", "sum", "sum")
-    kind = rng.choice(leaf_kinds if max_depth <= 1 else all_kinds)
-    if kind == "unknot":
-        return Unknot()
-    if kind == "trefoil":
-        return Trefoil()
-    if kind == "fig8":
-        return Fig8()
-    if kind == "kfam":
-        return Kfam(rng.randint(1, 3))
-    if kind == "atom":
-        return Atom(rng.choice(_ATOM_NAMES), rng.randint(1, 3),
-                    torus=tri(), cable=tri(), slice=tri())
-    if kind == "wh0":
-        return Wh0(random_expr(rng, max_depth - 1), rng.choice(("+", "-")))
-    if kind == "ksat":
-        return Ksat(random_expr(rng, max_depth - 1), random_expr(rng, max_depth - 1),
-                    rng.randint(-2, 2), rng.randint(-2, 2))
-    return Sum(random_expr(rng, max_depth - 1), random_expr(rng, max_depth - 1))

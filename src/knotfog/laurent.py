@@ -12,12 +12,11 @@ banded pretzel matrices grow like 2^n and must never overflow.
 
 from __future__ import annotations
 
-from .frozen import Frozen
+from .frozen import Frozen, integer
 
 TYPE_CHECKING = False  # `typing` is not imported, to keep it out of a CLI process
 if TYPE_CHECKING:
     from collections.abc import Sequence
-    from fractions import Fraction
 
 
 class LaurentPoly(Frozen):
@@ -105,27 +104,20 @@ class LaurentPoly(Frozen):
             q.append(qj)
         return LaurentPoly(self.min_degree * k, q)
 
-    def evaluate(self, x: "int | Fraction") -> "int | Fraction":
-        """Exact substitution t := x; x must be nonzero (negative exponents).
-
-        Returns an int when x is an int and the value is an integer by
-        shape: min_degree >= 0, or x = +-1.  Every other x gives a
-        Fraction; the result is never a float.  Horner's rule over the
-        stored coefficients, in integers when x is an integer, times
-        x^min_degree once at the end.
+    def evaluate(self, x: int) -> int:
+        """Exact substitution t := x, for an int x (not a bool) at which the
+        value is an integer by shape: min_degree >= 0, or x = +-1.  Any
+        other x, t = 0 included, raises ValueError.  Horner's rule over the
+        stored coefficients, times x^min_degree once at the end.
         """
-        if not (isinstance(x, int) and (self.min_degree >= 0 or x in (1, -1))):
-            from fractions import Fraction  # imported here: reports evaluate only at t = 1
-            x = Fraction(x)
-        if x == 0:
+        if integer(x, "t") == 0:
             raise ValueError("cannot evaluate at t = 0: negative exponents")
-        step = x.numerator if x.denominator == 1 else x
+        if self.min_degree < 0 and x not in (1, -1):
+            raise ValueError(f"t^{self.min_degree} at t = {x} is not an integer")
         total = 0
         for c in reversed(self.coeffs):
-            total = total * step + c
-        if isinstance(x, int):  # x^-k = x^k at x = +-1, and 1 ** -2 is a float
-            return total * x ** abs(self.min_degree)
-        return total * x ** self.min_degree
+            total = total * x + c
+        return total * x ** abs(self.min_degree)  # x^-k = x^k at x = +-1, and 1 ** -2 is a float
 
     # -- unit normalization ----------------------------------------------
 

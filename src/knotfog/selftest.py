@@ -18,7 +18,8 @@ import random
 import time
 
 from . import classical, cli, firstorder, knotlang, seifert
-from .knotlang import Ksat, Sum, TriState, Unknot, Wh0, Kfam, Atom, parse, render
+from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState, Unknot,
+                       Wh0, parse, render)
 from .laurent import ONE, LaurentPoly, unit_equivalent
 
 
@@ -33,6 +34,38 @@ def _fail(message: str) -> None:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         _fail(message)
+
+
+# -- pseudo-random expressions -------------------------------------------------
+
+
+_ATOM_NAMES = ("A", "B", "J", "L", "X", "Y")
+
+
+def random_expr(rng: random.Random, max_depth: int = 4) -> KnotExpr:
+    """Seeded generator of construction trees, used by the criteria below
+    and the property suites."""
+    tri = lambda: rng.choice((TriState.YES, TriState.NO, TriState.UNKNOWN))
+    leaf_kinds = ("unknot", "trefoil", "fig8", "kfam", "atom")
+    all_kinds = leaf_kinds + ("wh0", "ksat", "sum", "sum")
+    kind = rng.choice(leaf_kinds if max_depth <= 1 else all_kinds)
+    if kind == "unknot":
+        return Unknot()
+    if kind == "trefoil":
+        return Trefoil()
+    if kind == "fig8":
+        return Fig8()
+    if kind == "kfam":
+        return Kfam(rng.randint(1, 3))
+    if kind == "atom":
+        return Atom(rng.choice(_ATOM_NAMES), rng.randint(1, 3),
+                    torus=tri(), cable=tri(), slice=tri())
+    if kind == "wh0":
+        return Wh0(random_expr(rng, max_depth - 1), rng.choice(("+", "-")))
+    if kind == "ksat":
+        return Ksat(random_expr(rng, max_depth - 1), random_expr(rng, max_depth - 1),
+                    rng.randint(-2, 2), rng.randint(-2, 2))
+    return Sum(random_expr(rng, max_depth - 1), random_expr(rng, max_depth - 1))
 
 
 # -- criteria ---------------------------------------------------------------
@@ -70,7 +103,7 @@ def twice_genus_soundness() -> str:
     rng = random.Random(20240811)
     violations = 0
     for _ in range(1000):
-        answer = cli.report(knotlang.random_expr(rng, max_depth=4))
+        answer = cli.report(random_expr(rng, max_depth=4))
         if answer.fog.lo < 2 * answer.facts.genus.lo:
             violations += 1
     _check(violations == 0, f"{violations} violations of lo >= 2*genus.lo")
@@ -82,7 +115,7 @@ def subadditivity() -> str:
     rng = random.Random(987123)
     finite: list = []  # (e, hi)
     while len(finite) < 1000:
-        e = knotlang.random_expr(rng, max_depth=3)
+        e = random_expr(rng, max_depth=3)
         hi = cli.report(e).fog.hi
         if hi is not None:
             finite.append((e, hi))
@@ -162,7 +195,7 @@ def alexander_sanity() -> str:
     rng = random.Random(424242)
     produced = 0
     for _ in range(1000):
-        answer = cli.report(knotlang.random_expr(rng, max_depth=4))
+        answer = cli.report(random_expr(rng, max_depth=4))
         delta = answer.facts.alexander
         if delta is not None:
             produced += 1
@@ -188,8 +221,8 @@ def alexander_sanity() -> str:
 def exact_point_values() -> str:
     """The engine's closed-form point values."""
     expected = [
-        (knotlang.Trefoil(), 2, 2),
-        (knotlang.Fig8(), 2, 2),
+        (Trefoil(), 2, 2),
+        (Fig8(), 2, 2),
         (Ksat(Kfam(1), Kfam(2), 0, 0), 3, 3),
         (Unknot(), 0, 0),
     ]
@@ -210,8 +243,8 @@ def parser_round_trip() -> str:
     DEPTH_MAX nest; 10^4 fuzz inputs, no crashes."""
     rng = random.Random(777001)
     chain = functools.reduce(Sum, [Kfam(k % 3 + 1) for k in range(2000)])
-    nest = functools.reduce(Wh0, ["-"] * knotlang.DEPTH_MAX, knotlang.Fig8())
-    for e in [knotlang.random_expr(rng, max_depth=4) for _ in range(1000)] + [chain, nest]:
+    nest = functools.reduce(Wh0, ["-"] * knotlang.DEPTH_MAX, Fig8())
+    for e in [random_expr(rng, max_depth=4) for _ in range(1000)] + [chain, nest]:
         text = render(e)
         back = parse(text)
         _check(back is e, f"round trip failed: {text[:80]!r} -> {render(back)[:80]!r}")

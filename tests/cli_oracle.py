@@ -33,10 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: parse_args keeps no state between calls
+
+
 def read(argv: list[str]) -> argparse.Namespace:
     """The parsed command line, or SystemExit after argparse's output."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "family-table" and not 1 <= args.n <= 12:
-        parser.error(f"--n must be in 1..12, got {args.n}")
+        _PARSER.error(f"--n must be in 1..12, got {args.n}")
     return args

@@ -13,10 +13,11 @@ from knotfog.classical import (IntInterval, PRETZEL_BASE, alexander_of,
                                class_r_of, facts_of, genus_of, genus_one_alexander,
                                satellite_of_first, slice_of, trivial_of)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
-                              Unknot, Wh0, parse, random_expr, render)
+                              Unknot, Wh0, parse, render)
 from knotfog.laurent import LaurentPoly, ONE, unit_equivalent
 from knotfog.seifert import (SeifertMatrix, alexander_polynomial, change_basis,
                              random_symplectic, theta)
+from knotfog.selftest import random_expr
 
 YES, NO, UNKNOWN = TriState.YES, TriState.NO, TriState.UNKNOWN
 

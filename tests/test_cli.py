@@ -19,7 +19,7 @@ import pytest
 import cli_oracle
 import knotfog
 from knotfog import cli, selftest
-from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, KFAM_MAX
+from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, KFAM_MAX, parse
 from knotfog.seifert import SeifertMatrix, theta
 
 TREFOIL_REPORT = """\
@@ -91,7 +91,7 @@ class TestInvariants:
     def test_large_kfam_report_is_fast(self):
         # generous budget: guards against a return of the quadratic power
         start = time.perf_counter()
-        report = cli.build_report("kfam(2000)")
+        report = cli.report(parse("kfam(2000)"))
         assert time.perf_counter() - start < 5.0
         assert len(report.facts.alexander.coeffs) == 4001
 
@@ -99,7 +99,7 @@ class TestInvariants:
         # a double's polynomial is 1 whatever its companion's; the product
         # inside the companion would take minutes if anything computed it
         start = time.perf_counter()
-        report = cli.build_report("wh0(kfam(3000) # kfam(3000))")
+        report = cli.report(parse("wh0(kfam(3000) # kfam(3000))"))
         assert time.perf_counter() - start < 5.0
         assert str(report.facts.alexander) == "1"
 
@@ -168,9 +168,13 @@ class TestEntryExit:
     def entry(self, monkeypatch):
         log = []
 
-        def run(argv: list[str], raw: io.RawIOBase | None) -> tuple[int, bytes | None]:
+        def run(argv: list[str], raw: io.RawIOBase | None,
+                encoding: str = "utf-8") -> tuple[int, bytes | None]:
             """Exit status and flushed stdout bytes of `knotfog *argv` with a
-            block-buffered stdout writing to `raw`, or no stdout at all."""
+            block-buffered stdout in `encoding` writing to `raw`, or no stdout
+            at all."""
+            log.clear()
+
             def fake_exit(status):
                 log.append("exit")
                 raise Exited(status, raw.getvalue() if isinstance(raw, io.BytesIO) else None)
@@ -179,7 +183,7 @@ class TestEntryExit:
             monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: log.append("atexit"))
             monkeypatch.setattr(sys, "argv", ["knotfog", *argv])
             monkeypatch.setattr(sys, "stdout", None if raw is None else io.TextIOWrapper(
-                io.BufferedWriter(raw), encoding="utf-8"))
+                io.BufferedWriter(raw), encoding=encoding))
             with pytest.raises(Exited) as exc:
                 cli.entry()
             assert log == ["atexit", "exit"]
@@ -211,6 +215,16 @@ class TestEntryExit:
     def test_closed_stdout_is_one_line_and_exit_2(self, entry, capsys):
         assert entry(["invariants", "trefoil"], None) == (2, None)
         assert capsys.readouterr().err == "error: cannot write the report: stdout is closed\n"
+
+    def test_unencodable_report_is_one_line_and_exit_2(self, entry, capsys):
+        # the table spells the name; --json escapes it and still answers
+        text = "atom(\u0416, genus=1)"
+        assert entry(["invariants", text], io.BytesIO(), "ascii") == (2, b"")
+        assert capsys.readouterr().err == ("error: cannot write the report: 'ascii' codec can't "
+                                           "encode character '\\u0416' in position 18: "
+                                           "ordinal not in range(128)\n")
+        status, out = entry(["invariants", text, "--json"], io.BytesIO(), "ascii")
+        assert status == 0 and b'"atom(\\u0416, genus=1, ' in out
 
     def test_unwritable_stderr_too_still_exits_2(self, entry, monkeypatch):
         monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(
@@ -249,6 +263,15 @@ class TestEntryProcess:
                           "atexit.register(print, 'handler ran', file=sys.stderr); "
                           "sys.argv[1:] = ['invariants', 'trefoil']; cli.entry()")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, TREFOIL_REPORT, "handler ran\n")
+
+    def test_unencodable_report_is_one_line_and_exit_2(self):
+        proc = subprocess.run([sys.executable, "-m", "knotfog.cli", "invariants",
+                               "atom(\u0416, genus=1)"], capture_output=True,
+                              env={**python_env(), "PYTHONIOENCODING": "ascii"}, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode("ascii").splitlines() == [
+            "error: cannot write the report: 'ascii' codec can't encode character '\\u0416'"
+            " in position 18: ordinal not in range(128)"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_one_line_and_exit_2(self):
@@ -516,12 +539,16 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "FAIL pretzel-polynomial-identity" in out
 
-    def test_passes_without_numpy(self):
+    def test_passes_without_numpy_and_loads_no_typing(self):
+        # one interpreter for both checks: -S, since `site` may import typing;
+        # selftest's timings precede the last line of stderr
         code = ("import sys; sys.modules['numpy'] = None; import knotfog.cli; "
-                "sys.exit(knotfog.cli.main(['selftest']))")
-        proc = run_python("-c", code)
+                "status = knotfog.cli.main(['selftest']); "
+                "print(status, *[m for m in ('typing',) if m in sys.modules], file=sys.stderr)")
+        proc = run_python("-S", "-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr[-500:]
         assert "9/9 criteria passed" in proc.stdout
+        assert proc.stderr.splitlines()[-1].split() == ["0"]
 
     @pytest.mark.parametrize("g, h", [(g, h) for g in range(1, 5) for h in range(5)])
     def test_exhaustive_search_matches_a_four_loop_search(self, g, h):
@@ -551,7 +578,7 @@ class TestSelftestCommand:
         assert proc.stderr.split() == ["0", *loaded]
 
     def test_table_report_loads_no_random(self):
-        # `random` is imported only for an annotation; -S, since `site` may import it
+        # `random` is imported only by selftest and seifert; -S, since `site` may import it
         code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
                 "print(status, *[m for m in ('random', 'bisect', '_random') "
                 "if m in sys.modules], file=sys.stderr)")
@@ -560,11 +587,11 @@ class TestSelftestCommand:
 
     TEXT = "trefoil # kfam(2) # ksat(fig8, fig8, 1, 2) # wh0(fig8) # atom(A, genus=2)"
 
-    @pytest.mark.parametrize("argv", [("invariants", TEXT), ("invariants", TEXT, "--json"),
-                                      ("selftest",)], ids=["table", "json", "selftest"])
+    @pytest.mark.parametrize("argv", [("invariants", TEXT), ("invariants", TEXT, "--json")],
+                             ids=["table", "json"])
     def test_reports_load_no_typing(self, argv):
         # the records are namedtuples and annotations are never evaluated;
-        # -S, since `site` may import typing; selftest's timings precede the last line
+        # -S, since `site` may import typing.  The numpy test checks selftest.
         code = ("import sys, knotfog.cli; status = knotfog.cli.main(sys.argv[1:]); "
                 "print(status, *[m for m in ('typing',) if m in sys.modules], file=sys.stderr)")
         proc = run_python("-S", "-c", code, *argv)
@@ -660,7 +687,7 @@ class TestLazyExports:
             "ZERO",
             "alexander_of", "alexander_polynomial", "change_basis", "class_r_of",
             "facts_of", "first_order_genus", "genus_of",
-            "intersection_form", "min_basis_bound", "parse", "random_expr",
+            "intersection_form", "min_basis_bound", "parse",
             "random_symplectic", "render", "satellite_of_first", "slice_of",
             "standard_form", "theta", "trivial_of", "unit_equivalent", "validate",
         ]
@@ -689,6 +716,54 @@ class TestLazyExports:
             knotfog.nope  # noqa: B018
         with pytest.raises(ImportError):
             exec("from knotfog import nope", {})
+
+
+def referenced_names(path: Path, dotted_strings: bool) -> set[str]:
+    """The names a source file reads, the attributes it names and the names
+    it imports, less each top-level function's or class's own name inside
+    its body (so a definition or a recursion is no use of it); with
+    `dotted_strings`, also each part of a string that is a dotted path of
+    identifiers, as `perfbench/tracer.py` names what it wraps.  Docstrings
+    do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    names: set[str] = set()
+    for statement in tree.body:
+        found: set[str] = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rpartition(".")[2])
+            elif (dotted_strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in docstrings
+                  and all(part.isidentifier() for part in node.value.split("."))):
+                found.update(node.value.split("."))
+        if isinstance(statement, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.discard(statement.name)
+        names |= found
+    return names
+
+
+class TestExportsHaveCallers:
+    def test_every_export_is_used_outside_the_tests(self):
+        # by a module of the package other than `__init__` (selftest counts),
+        # or by a benchmark file other than the benchmark's own tests
+        package = Path(knotfog.__file__).resolve().parent
+        modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        benchmark = [path for path in sorted(perfbench.glob("*.py"))
+                     if not path.name.startswith("test_")]
+        assert modules and benchmark
+        used = set().union(*[referenced_names(path, dotted_strings=False) for path in modules],
+                           *[referenced_names(path, dotted_strings=True) for path in benchmark])
+        assert [name for name in knotfog._EXPORTS if name not in used] == []
 
 
 class TestNoAssertStatements:

@@ -12,7 +12,8 @@ from knotfog.classical import IntInterval, genus_of, node_facts
 from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _check,
                                 first_order_genus, min_basis_bound, step)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
-                              Unknot, Wh0, fold, parse, random_expr, validate)
+                              Unknot, Wh0, fold, parse, validate)
+from knotfog.selftest import random_expr
 
 
 class TestCertificate:

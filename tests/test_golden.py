@@ -3,7 +3,7 @@
 `golden_invariants.json.gz` holds, for every case, the argv passed to
 `cli.main` and the exit code, stdout and stderr it produced (gzipped
 JSON, 0.4 MB unpacked; `zcat` shows it).  The cases are 150 seeded
-`random_expr` trees (seed 4104, depth cycling 1..6) and hand-picked
+`selftest.random_expr` trees (seed 4104, depth cycling 1..6) and hand-picked
 shapes, each as a table and with `--json`, plus two parse errors.  The
 file was written by `python tests/test_golden.py` against an engine
 already checked by the rest of the suite; it is the gate for refactors
@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from knotfog import cli
-from knotfog.knotlang import random_expr, render
+from knotfog.knotlang import render
+from knotfog.selftest import random_expr
 
 CORPUS = Path(__file__).with_name("golden_invariants.json.gz")
 

@@ -16,7 +16,8 @@ import pytest
 
 from knotfog import knotlang
 from knotfog.knotlang import (DEPTH_MAX, Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil,
-                              TriState, Wh0, parse, random_expr, render)
+                              TriState, Wh0, parse, render)
+from knotfog.selftest import random_expr
 from test_golden import CHAIN_TERMS
 from test_parser import near_the_recursion_limit
 from test_values import VALUES
@@ -143,23 +144,20 @@ class TestTable:
         assert Atom("A", 1, torus="yes") is Atom("A", 1, torus=TriState.YES)
         assert Atom("A", 1, slice="no").slice is TriState.NO
 
-    def test_atom_name_is_checked_once_per_live_node(self, monkeypatch):
+    def test_atom_name_is_checked_on_every_construction(self, monkeypatch):
         checked = []
         tokens = knotlang._tokens
         monkeypatch.setattr(knotlang, "_tokens", lambda text: checked.append(text) or tokens(text))
-        held = Atom("Once_1", 2)
+        held = Atom("Each_1", 2)
         for flag in (TriState.UNKNOWN, "unknown"):
-            assert Atom("Once_1", 2, torus=flag) is held
-        assert checked == ["Once_1", "Once_1"]  # the string flag takes the full check
-        del held
-        gc.collect()
-        Atom("Once_1", 2)  # made afresh, so checked afresh
-        assert checked == ["Once_1"] * 3
-        for _ in range(2):
-            with pytest.raises(ValueError, match="invalid atom name '1A'"):
-                Atom("1A", 2)
-        with pytest.raises(ValueError, match="invalid atom name '1A'"):
-            Atom("1A", 2, torus="maybe")  # the name is reported before the flag
+            assert Atom("Each_1", 2, torus=flag) is held
+        assert checked == ["Each_1"] * 3  # the live node's name is checked again
+        for name in ("1A", "A-B"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"invalid atom name {name!r}"):
+                    Atom(name, 2)
+            with pytest.raises(ValueError, match=f"invalid atom name {name!r}"):
+                Atom(name, 2, torus="maybe")  # the name is reported before the flag
 
     def test_dropped_nodes_leave_the_table(self):
         gc.collect()

@@ -10,8 +10,8 @@ from test_cli import run_python
 
 from knotfog import classical, cli, firstorder
 from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, KnotExpr, Ksat, ParseError, Sum,
-                              Trefoil, TriState, Unknot, Wh0, fold, parse, random_expr,
-                              render, validate)
+                              Trefoil, TriState, Unknot, Wh0, fold, parse, render, validate)
+from knotfog.selftest import random_expr
 
 
 class TestParse:
@@ -244,13 +244,14 @@ class TestOneFoldPerReport:
         # one step per distinct subtree of the parse, where equal subtrees are one object
         text = render(e)
         nodes = len(subtrees(parse(text)))
-        assert count_calls(fold.__code__, lambda: cli.build_report(text)) == 1
-        assert count_calls(classical.node_facts.__code__, lambda: cli.build_report(text)) == nodes
+        report = lambda: cli.report(parse(text))
+        assert count_calls(fold.__code__, report) == 1
+        assert count_calls(classical.node_facts.__code__, report) == nodes
 
     def test_report_builds_records_only_at_the_root(self):
         # the fold carries (value, rule id) pairs; one result, one record per bound
         text = render(chain(2000))
-        report = lambda: cli.build_report(text)
+        report = lambda: cli.report(parse(text))
         assert count_calls(firstorder.FirstOrderResult.__new__.__code__, report) == 1
         assert count_calls(firstorder.BoundRecord.__new__.__code__, report) <= 2
 
@@ -258,7 +259,7 @@ class TestOneFoldPerReport:
         rng = random.Random(6006)
         for i in range(1000):
             e = random_expr(rng, max_depth=1 + i % 7)
-            report = cli.build_report(render(e))
+            report = cli.report(parse(render(e)))
             assert report.facts == classical.facts_of(e)
             assert report.fog == firstorder.first_order_genus(e)
             assert report.warnings == tuple(validate(e))
@@ -356,7 +357,7 @@ class TestSharing:
         for _ in range(d):
             e = Ksat(e, e, 0, 0)
         text = render(e)
-        report = lambda: cli.build_report(text)
+        report = lambda: cli.report(parse(text))
         assert count_calls(classical.node_facts.__code__, report) == d + 1
         # levels 2..d each name the level below twice: d - 1 distinct subtrees,
         # plus the report's own expression

@@ -122,12 +122,19 @@ class TestEvaluate:
         assert ZERO.evaluate(7) == 0
         assert type(ZERO.evaluate(7)) is int
 
-    def test_negative_exponents_give_fractions(self):
-        assert LaurentPoly(-1, (1,)).evaluate(2) == Fraction(1, 2)
+    def test_negative_exponents_off_the_units_are_refused(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPoly(-1, (1,)).evaluate(2)
 
     def test_fraction_argument(self):
-        assert LaurentPoly(-1, (2, -5, 2)).evaluate(Fraction(1, 2)) == 0
-        assert BASE.evaluate(Fraction(-1, 3)) == Fraction(-35, 9)
+        for p, x in [(LaurentPoly(-1, (2, -5, 2)), Fraction(1, 2)), (BASE, Fraction(-1, 3)),
+                     (BASE, Fraction(3))]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                p.evaluate(x)
+
+    def test_bool_argument(self):
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            BASE.evaluate(True)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -141,15 +148,17 @@ class TestEvaluate:
            .filter(lambda c: c[0] != 0),
            st.fractions(max_denominator=7).filter(bool))
     def test_matches_the_fraction_oracle_and_is_never_a_float(self, shift, coeffs, q):
-        # an int exactly where the value is an integer by shape, else a Fraction
+        # an int exactly where the value is an integer by shape, else a ValueError
         p = LaurentPoly(shift, coeffs)
         assert p.min_degree == shift
         for x in [-3, -2, -1, 1, 2, 3, q]:
-            want = sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(p.coeffs, shift))
-            got = p.evaluate(x)
-            assert got == want
-            exact_int = isinstance(x, int) and (shift >= 0 or x in (1, -1))
-            assert type(got) is (int if exact_int else Fraction)
+            if isinstance(x, int) and (shift >= 0 or x in (1, -1)):
+                got = p.evaluate(x)
+                assert type(got) is int
+                assert got == sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(p.coeffs, shift))
+            else:
+                with pytest.raises(ValueError):
+                    p.evaluate(x)
 
 
 class TestCanonical:

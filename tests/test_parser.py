@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import parser_oracle
 from knotfog import knotlang
-from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, ParseError, parse, random_expr, render
+from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, ParseError, parse, render
+from knotfog.selftest import random_expr
 
 # The grammar's characters, plus the ones where a regular expression and
 # the str predicates the old parser used could disagree: ½ and Ⅷ match
