@@ -376,9 +376,7 @@ class _Parser:
             flags[flag] = TriState(self.word(self.expect("=", i + 2), ("yes", "no", "unknown"),
                                              "expected yes/no/unknown, got {!r}"))
             i += 4
-        unknown = TriState.UNKNOWN
-        return Atom(name, genus, flags.get("torus", unknown), flags.get("cable", unknown),
-                    flags.get("slice", unknown)), self.expect(")", i)
+        return Atom(name, genus, **flags), self.expect(")", i)
 
     def wh0(self, companion: KnotExpr, i: int) -> tuple[Wh0, int]:
         """Close "wh0(" companion at token i: [", clasp =" sign] ")"."""

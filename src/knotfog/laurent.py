@@ -46,9 +46,6 @@ class LaurentPoly(Frozen):
         object.__setattr__(self, "min_degree", min_degree)
         object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
 
-    def is_one(self) -> bool:
-        return self.min_degree == 0 and self.coeffs == (1,)
-
     # -- products, powers and evaluation ---------------------------------
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":

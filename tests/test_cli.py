@@ -19,6 +19,7 @@ import pytest
 import cli_oracle
 import knotfog
 from knotfog import cli, selftest
+from knotfog.classical import IntInterval
 from knotfog.knotlang import DEPTH_MAX, INT_DIGITS_MAX, KFAM_MAX, parse
 from knotfog.seifert import SeifertMatrix, theta
 
@@ -471,6 +472,22 @@ class TestFamilyTable:
         cli.main(["family-table", "--n", "8"])
         assert capsys.readouterr().out == first
 
+    def test_row_off_the_closed_form_is_refused(self, monkeypatch):
+        # g1 = n + 2 on row n: still pairwise distinct, yet not the family's g1 = n + 1
+        real = cli.report
+
+        def shifted(expr):
+            answer = real(expr)
+            fog = answer.fog
+            return answer._replace(fog=fog._replace(interval=IntInterval(fog.lo + 1, fog.hi + 1)))
+
+        monkeypatch.setattr(cli, "report", shifted)
+        with pytest.raises(AssertionError, match=r"family row 1: .* g1 \[3, 3\] != \[2, 2\]"):
+            cli.family_table(3)
+        result = selftest.run_criterion("whitehead-family-table")
+        assert not result.passed
+        assert "family row 1" in result.detail
+
     def test_optimized_run_prints_the_same(self):
         plain = run_cli("family-table", "--n", "12")
         optimized = run_python("-O", "-m", "knotfog.cli", "family-table", "--n", "12")
@@ -541,11 +558,12 @@ class TestSelftestCommand:
 
     def test_passes_without_numpy_and_loads_no_typing(self):
         # one interpreter for both checks: -S, since `site` may import typing;
-        # selftest's timings precede the last line of stderr
+        # -O, since every check raises explicitly; selftest's timings precede
+        # the last line of stderr
         code = ("import sys; sys.modules['numpy'] = None; import knotfog.cli; "
                 "status = knotfog.cli.main(['selftest']); "
                 "print(status, *[m for m in ('typing',) if m in sys.modules], file=sys.stderr)")
-        proc = run_python("-S", "-c", code)
+        proc = run_python("-S", "-O", "-c", code)
         assert proc.returncode == 0, proc.stdout + proc.stderr[-500:]
         assert "9/9 criteria passed" in proc.stdout
         assert proc.stderr.splitlines()[-1].split() == ["0"]
@@ -697,7 +715,7 @@ class TestLazyExports:
         public = {cls.__name__: [n for n in dir(cls) if not n.startswith("_")]
                   for cls in (knotfog.LaurentPoly, knotfog.SeifertMatrix, knotfog.BasisChange)}
         assert public == {
-            "LaurentPoly": ["canonical", "coeffs", "evaluate", "is_one", "min_degree"],
+            "LaurentPoly": ["canonical", "coeffs", "evaluate", "min_degree"],
             "SeifertMatrix": ["entries", "size"],
             "BasisChange": ["entries", "size"],
         }
@@ -751,19 +769,51 @@ def referenced_names(path: Path, dotted_strings: bool) -> set[str]:
     return names
 
 
+PACKAGE = Path(knotfog.__file__).resolve().parent
+# the names that only perfbench reads: its tracer resolves each one, so
+# they go with the benchmark change (ROADMAP item 2), which shrinks this set
+PERFBENCH_ONLY = {"alexander_of", "class_r_of", "exact_div", "facts_of", "first_order_genus",
+                  "genus_of", "satellite_of_first", "slice_of", "validate"}
+
+
+def used_names() -> tuple[set[str], set[str]]:
+    """The names read by the package's modules other than `__init__`
+    (selftest counts), and those read by perfbench's files other than
+    its own tests."""
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    benchmark = [path for path in sorted(perfbench.glob("*.py"))
+                 if not path.name.startswith("test_")]
+    assert modules and benchmark
+    return (set().union(*[referenced_names(path, dotted_strings=False) for path in modules]),
+            set().union(*[referenced_names(path, dotted_strings=True) for path in benchmark]))
+
+
+def defined_names() -> set[str]:
+    """Every top-level function and class of the package, and every
+    method of such a class; dunders, which Python calls, left out."""
+    names: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, ast.ClassDef):
+                names.update(node.name for node in statement.body
+                             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            if isinstance(statement, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(statement.name)
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 class TestExportsHaveCallers:
     def test_every_export_is_used_outside_the_tests(self):
-        # by a module of the package other than `__init__` (selftest counts),
-        # or by a benchmark file other than the benchmark's own tests
-        package = Path(knotfog.__file__).resolve().parent
-        modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-        benchmark = [path for path in sorted(perfbench.glob("*.py"))
-                     if not path.name.startswith("test_")]
-        assert modules and benchmark
-        used = set().union(*[referenced_names(path, dotted_strings=False) for path in modules],
-                           *[referenced_names(path, dotted_strings=True) for path in benchmark])
-        assert [name for name in knotfog._EXPORTS if name not in used] == []
+        package, benchmark = used_names()
+        assert [name for name in knotfog._EXPORTS if name not in package | benchmark] == []
+
+    def test_every_definition_is_used_outside_the_tests(self):
+        package, benchmark = used_names()
+        defined = defined_names()
+        assert len(defined) > 100
+        assert defined - package == PERFBENCH_ONLY
+        assert PERFBENCH_ONLY <= benchmark
 
 
 class TestNoAssertStatements:
