@@ -59,25 +59,6 @@ class WeakGropeCertificate(Frozen):
         return sum(self.second_stage_genera)
 
 
-def _check(cert: WeakGropeCertificate, facts: NodeFacts) -> tuple[str, ...]:
-    """Why the certificate cannot be valid for an expression with these
-    facts; empty if it can be.
-
-    The first stage must be a minimal genus surface, so its genus must
-    equal the (exactly known) genus of the expression; and no second
-    stage of a nontrivial knot may be a disc, since a disc-bounding
-    basis curve would compress the surface below minimal genus.
-    """
-    reasons: list[str] = []
-    if not facts.genus.is_point():
-        reasons.append("genus of expression not exactly known")
-    elif cert.first_stage_genus != facts.genus.lo:
-        reasons.append("first stage not minimal genus")
-    if facts.trivial is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
-        reasons.append("zero second stage on nontrivial knot")
-    return tuple(reasons)
-
-
 class BasisWitness(Frozen):
     """A basis change x = p*a + q*b, y = r*a + s*b realizing the minimum;
     all five fields are ints (not bools)."""
@@ -185,7 +166,21 @@ def first_order_result(lo: tuple[int, str], hi: tuple[int, str] | None) -> First
 
 
 def _certified(cert: WeakGropeCertificate, facts: NodeFacts, rule: str) -> tuple[int, str]:
-    reasons = _check(cert, facts)
+    """The certificate's (value, rule id), if it can be valid for an
+    expression with these facts; otherwise AssertionError naming why.
+
+    The first stage must be a minimal genus surface, so its genus must
+    equal the (exactly known) genus of the expression; and no second
+    stage of a nontrivial knot may be a disc, since a disc-bounding
+    basis curve would compress the surface below minimal genus.
+    """
+    reasons: list[str] = []
+    if not facts.genus.is_point():
+        reasons.append("genus of expression not exactly known")
+    elif cert.first_stage_genus != facts.genus.lo:
+        reasons.append("first stage not minimal genus")
+    if facts.trivial is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
+        reasons.append("zero second stage on nontrivial knot")
     if reasons:  # a bug in the rules, so `python -O` must keep this check
         raise AssertionError(f"invalid {rule} certificate: {'; '.join(reasons)}")
     return cert.value, rule

@@ -222,9 +222,7 @@ class Atom(KnotExpr):
             raise ValueError(f"atom genus must be >= 1, got {genus}")
         if not (name[:1].isalpha() and _tokens(name) == [name, ""]):  # a NAME, before the flags
             raise ValueError(f"invalid atom name {name!r}")
-        if not torus.__class__ is cable.__class__ is slice.__class__ is TriState:
-            torus, cable, slice = TriState(torus), TriState(cable), TriState(slice)
-        return _node((cls, name, genus, torus, cable, slice))
+        return _node((cls, name, genus, TriState(torus), TriState(cable), TriState(slice)))
 
     def pieces(self) -> tuple[str, ...]:
         return (f"atom({self.name}, genus={self.genus}, torus={self.torus}, "

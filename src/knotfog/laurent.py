@@ -55,9 +55,8 @@ class LaurentPoly(Frozen):
             return ZERO
         dense = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    dense[i + j] += a * b
+            for j, b in enumerate(other.coeffs):
+                dense[i + j] += a * b
         return LaurentPoly(self.min_degree + other.min_degree, dense)
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -78,14 +77,12 @@ class LaurentPoly(Frozen):
         integer polynomial, so q_j is an integer, and since j * a_0 != 0
         the recurrence forces the numerator to equal j * a_0 * q_j.  A
         nonzero remainder can only be a bug, so it raises rather than
-        rounding.
+        rounding.  At k = 0 the pass is empty and q = [a_0^0] = [1].
         """
         if k < 0:
             raise ValueError("negative powers are not defined for general Laurent polynomials")
-        if k == 0:
-            return ONE
         if not self.coeffs:
-            return ZERO
+            return ZERO if k else ONE
         a = self.coeffs
         d = len(a) - 1
         a0 = a[0]
@@ -124,10 +121,8 @@ class LaurentPoly(Frozen):
         Any unit-normal form would do; this one makes golden-file comparison
         deterministic.  Idempotent, and maps every unit +-t^k to 1.
         """
-        if not self.coeffs:
-            return ZERO
         coeffs = self.coeffs
-        if coeffs[-1] < 0:
+        if coeffs and coeffs[-1] < 0:
             coeffs = tuple(-c for c in coeffs)
         return LaurentPoly(0, coeffs)
 

@@ -298,11 +298,7 @@ def change_basis(V: SeifertMatrix, P: BasisChange) -> SeifertMatrix:
     """P*V*P^T; P must be unimodular (enforced by BasisChange) and size-matched."""
     if P.size != V.size:
         raise ValueError(f"size mismatch: matrix {V.size}, basis change {P.size}")
-    return SeifertMatrix(_mat_mul(_mat_mul(P.entries, V.entries), _transpose(P.entries)))
-
-
-def _transpose(rows: Rows) -> Rows:
-    return tuple(zip(*rows)) if rows else ()
+    return SeifertMatrix(_mat_mul(_mat_mul(P.entries, V.entries), tuple(zip(*P.entries))))
 
 
 def _mat_mul(a: Rows, b: Rows) -> Rows:

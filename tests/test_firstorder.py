@@ -9,7 +9,7 @@ from test_golden import HAND_PICKED
 
 from knotfog import classical, cli, firstorder
 from knotfog.classical import IntInterval, genus_of, node_facts
-from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _check,
+from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _certified,
                                 first_order_genus, min_basis_bound, step)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0, fold, parse, validate)
@@ -35,27 +35,46 @@ class TestCertificate:
             WeakGropeCertificate(0, ())
 
 
+RULE = "first-order/leaf-certificate"
+
+
 def check_certificate(cert, e):
-    """Why the certificate fails on e's folded facts; empty if it can be valid."""
-    return _check(cert, fold(e, node_facts))
+    """Why `_certified` refuses the certificate on e's folded facts, as its
+    message's reasons; empty if it certifies (cert.value, RULE)."""
+    try:
+        certified = _certified(cert, fold(e, node_facts), RULE)
+    except AssertionError as exc:
+        prefix = f"invalid {RULE} certificate: "
+        assert str(exc).startswith(prefix), exc
+        return tuple(str(exc)[len(prefix):].split("; "))
+    assert certified == (cert.value, RULE)
+    return ()
 
 
 class TestCheckCertificate:
     def test_trefoil_certificate_valid(self):
         assert check_certificate(WeakGropeCertificate(1, (1, 1)), Trefoil()) == ()
+        assert _certified(WeakGropeCertificate(1, (1, 1)), fold(Trefoil(), node_facts),
+                          RULE) == (2, RULE)
 
     def test_wrong_first_stage(self):
         reasons = check_certificate(WeakGropeCertificate(2, (1, 1, 1, 1)), Trefoil())
-        assert "first stage not minimal genus" in reasons
+        assert reasons == ("first stage not minimal genus",)
 
     def test_zero_stage_on_nontrivial(self):
         reasons = check_certificate(WeakGropeCertificate(1, (0, 1)), Fig8())
-        assert "zero second stage on nontrivial knot" in reasons
+        assert reasons == ("zero second stage on nontrivial knot",)
 
     def test_unknown_genus(self):
         fuzzy = Ksat(Unknot(), Unknot(), 2, 3)
         reasons = check_certificate(WeakGropeCertificate(1, (1, 1)), fuzzy)
-        assert "genus of expression not exactly known" in reasons
+        assert reasons == ("genus of expression not exactly known",)
+
+    def test_two_reasons_in_order(self):
+        with pytest.raises(AssertionError) as exc:
+            _certified(WeakGropeCertificate(2, (0, 1, 1, 1)), fold(Fig8(), node_facts), RULE)
+        assert str(exc.value) == (f"invalid {RULE} certificate: "
+                                  "first stage not minimal genus; zero second stage on nontrivial knot")
 
     def test_wrong_certificate_raises_under_optimization(self):
         # `_certified` guards every upper bound; the check must survive `python -O`.

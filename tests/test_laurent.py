@@ -71,6 +71,8 @@ class TestPow:
     def test_zeroth_power_is_one(self):
         assert BASE ** 0 == ONE
         assert ZERO ** 0 == ONE
+        assert LaurentPoly(3, (2,)) ** 0 == ONE
+        assert LaurentPoly(-2, (1, 0, 1)) ** 0 == ONE
 
     def test_square(self):
         assert BASE ** 2 == BASE_SQUARED

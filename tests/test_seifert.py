@@ -408,6 +408,7 @@ class TestChangeBasis:
         P = BasisChange(tuple(tuple(1 if i == j else 0 for j in range(4))
                               for i in range(4)))
         assert change_basis(V, P) == V
+        assert change_basis(SeifertMatrix(()), BasisChange(())) == SeifertMatrix(())  # the disc
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
