@@ -82,6 +82,29 @@ def report(expr: KnotExpr) -> Report:
     )
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for the dicts with str keys, lists, strs,
+    ints and None of `Report.to_json`; any other type is a TypeError, and an
+    int past the interpreter's int-to-str limit a ValueError, as in json."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+        import json  # only here, so a report in printable ASCII never imports it
+        return json.dumps(value)
+    if value.__class__ is int:  # not a bool, which json spells true or false
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items = [_json(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def render_report(report: Report) -> str:
     facts = report.facts
     lines = [
@@ -174,10 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return 2
-        if args.json:
-            import json  # only here, so a table report never imports it
         try:
-            text = json.dumps(answer.to_json(), indent=2) if args.json else render_report(answer)
+            text = _json(answer.to_json()) if args.json else render_report(answer)
         except ValueError:  # CPython's limit on int-to-str conversion
             print(f"error: the answer has an integer of more than {sys.get_int_max_str_digits()}"
                   " digits, past the interpreter's limit for printing one", file=sys.stderr)

@@ -266,11 +266,20 @@ _LEAVES = {"unknot": Unknot, "trefoil": Trefoil, "fig8": Fig8}
 def _tokens(text: str) -> list[str]:
     r"""The tokens of text, then "" for its end.  `\w` also matches numerals
     such as ½ and Ⅷ, which are neither letters nor digits and so end a
-    NAME: a word that starts with a letter is cut before the first."""
-    tokens = _TOKEN.findall(text)
-    if not text.isascii():
-        tokens = [part for token in tokens for part in _cut(token)]
-    tokens.append("")
+    NAME: a word that starts with a letter is cut before the first.  No
+    token contains or crosses a ",", so each distinct comma-separated piece
+    is tokenized once: a satellite tree's text repeats its pieces."""
+    tokens: list[str] = []
+    seen: dict[str, list[str]] = {}
+    for piece in text.split(","):
+        part = seen.get(piece)
+        if part is None:
+            part = seen[piece] = _TOKEN.findall(piece)
+            if not piece.isascii():
+                part[:] = [cut for token in part for cut in _cut(token)]
+            part.append(",")
+        tokens += part
+    tokens[-1] = ""
     return tokens
 
 

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -103,6 +104,50 @@ class TestInvariants:
         report = cli.report(parse("wh0(kfam(3000) # kfam(3000))"))
         assert time.perf_counter() - start < 5.0
         assert str(report.facts.alexander) == "1"
+
+
+def json_report(text: str) -> dict:
+    return cli.report(parse(text)).to_json()
+
+
+class TestJsonWriter:
+    """`cli._json` writes `--json` without the json module; json.dumps with
+    indent=2 is the oracle."""
+
+    def test_seeded_reports(self):
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            data = cli.report(selftest.random_expr(rng, rng.randint(1, 6))).to_json()
+            assert cli._json(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("text, escaped", [
+        ("atom(Ж, genus=1) # atom(ǅ, genus=2)", r"atom(\u0416, genus=1"),
+        ("atom(𝔄, genus=1)", r"atom(\ud835\udd04, genus=1"),  # a surrogate pair
+    ])
+    def test_names_outside_ascii_get_json_escapes(self, text, escaped):
+        data = json_report(text)
+        assert cli._json(data) == json.dumps(data, indent=2)
+        assert escaped in cli._json(data)
+
+    def test_long_int_list(self):
+        data = json_report("kfam(64)")
+        assert len(data["facts"]["alexander"]["coeffs"]) == 129
+        assert cli._json(data) == json.dumps(data, indent=2)
+
+    def test_unbounded_hi_and_no_warnings(self):
+        data = json_report("atom(A, genus=2)")
+        assert data["first_order_genus"]["hi"] is None and data["warnings"] == []
+        assert cli._json(data) == json.dumps(data, indent=2)
+        assert '"hi": null' in cli._json(data) and '"warnings": []' in cli._json(data)
+
+    def test_empty_containers_and_escapes(self):
+        data = {"": {}, "a\tb": [[], "q\"uote", "back\\slash", "\x7f", None, -3, 0]}
+        assert cli._json(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, True, (1, 2), {1: 2}, [b"x"]])
+    def test_unsupported_type_is_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 def python_env() -> dict[str, str]:
@@ -582,7 +627,7 @@ class TestSelftestCommand:
         assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("before, after, loaded", [
-        ((), (), []), ((), ("--json",), ["json"]), (("--json",), (), ["json"]),
+        ((), (), []), ((), ("--json",), []), (("--json",), (), []),
     ], ids=["table", "json", "json-first"])
     def test_reports_import_only_what_they_use(self, before, after, loaded):
         # every cold `invariants` process pays for each module it imports,

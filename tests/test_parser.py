@@ -220,7 +220,8 @@ class TestRepeatedKsatOperands:
 
     @pytest.mark.parametrize("tail", [
         ", 1, )", ", 1 0)", ", 1, 0", ", 1, 0) fig8", ", x, 0)", ")", "", ", 1, 0) # )",
-        ", 1, 0) #", ", 1, 0))", ", " + "9" * (INT_DIGITS_MAX + 1) + ", 0)"])
+        ", 1, 0) #", ", 1, 0))", ", " + "9" * (INT_DIGITS_MAX + 1) + ", 0)",
+        ", 0, 0) # ksat(kfam(3), kfam(3), 0, 0) # ksat(kfam(3), kfam(3), 0, x)"])
     def test_errors_after_the_skipped_span(self, tail):
         x = doubling_text("atom(A, genus=2, slice=no)", 3)
         assert_same(f"ksat({x}, {x}" + tail)
@@ -257,6 +258,31 @@ class TestTokenizer:
         # `_TOKEN` starts with words so that it fails less often at one;
         # the earlier pattern put INTs first
         assert knotlang._TOKEN.findall(text) == re.findall(r"-?\d+|\w+|\S", text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_same_tokens_as_one_pass_over_the_text(self, data):
+        pieces = data.draw(st.lists(st.text(alphabet=ALPHABET, max_size=15), min_size=1, max_size=4))
+        text = ",".join(data.draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=12)))
+        tokens = knotlang._TOKEN.findall(text)
+        if not text.isascii():
+            tokens = [part for token in tokens for part in knotlang._cut(token)]
+        assert knotlang._tokens(text) == tokens + [""]
+
+    def test_each_distinct_piece_is_tokenized_once(self, monkeypatch):
+        text = doubling_text("kfam(3)", 12)
+        pieces: list[str] = []
+        pattern = knotlang._TOKEN
+
+        class Counting:
+            def findall(self, piece):
+                pieces.append(piece)
+                return pattern.findall(piece)
+
+        tokens = knotlang._tokens(text)
+        monkeypatch.setattr(knotlang, "_TOKEN", Counting())
+        assert knotlang._tokens(text) == tokens
+        assert sorted(pieces) == sorted(set(text.split(",")))
 
 
 def near_the_recursion_limit(func, free: int = 40):

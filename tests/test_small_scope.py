@@ -14,9 +14,10 @@ That is 7 + 14 + 518 + 2996 = 3535 trees, about a second of checks on a
 long.  Each report's rule ids, (genus, alexander, slice, g1 lo, g1 hi),
 form one of 23 tuples the rules allow: 4 at the leaves (trefoil and fig8
 share one), 8 at `#`, 6 at wh0 and 5 at ksat.  The trees reach 21 of
-them.  `NOT_REACHED` holds the other two: a slice atom on a `#` spine,
-which the alphabet has not, and a trivial `#` with a summand not known
-slice, which needs a collapsed ksat (three nodes) and a second summand.
+them.  `HAND_PICKED` adds a tree, with its subtrees, for each of the
+other two: a slice atom on a `#` spine, which the alphabet has not, and
+a trivial `#` with a summand not known slice, which needs a collapsed
+ksat (three nodes) and a second summand.  So all 23 are reached.
 """
 
 import pytest
@@ -32,11 +33,13 @@ LEAVES = ("unknot", "trefoil", "fig8", "kfam(1)", "kfam(2)", "atom(A, genus=1)",
           "atom(A, genus=2, torus=no, cable=no)")
 FRAMINGS = (-1, 0, 1)
 MAX_NODES = 4
-NOT_REACHED = {
-    ("genus/connected-sum", "alexander/unknown-summand", "slice/connected-sum",
-     "first-order/twice-genus", None),
-    ("genus/connected-sum", "alexander/connected-sum", "slice/unknown-sum",
-     "first-order/unknot", "first-order/unknot"),
+HAND_PICKED = {
+    "atom(A, genus=1, slice=yes) # atom(A, genus=2, torus=no, cable=no, slice=yes)":
+        ("genus/connected-sum", "alexander/unknown-summand", "slice/connected-sum",
+         "first-order/twice-genus", None),
+    "ksat(unknot, fig8, 0, 0) # unknot":
+        ("genus/connected-sum", "alexander/connected-sum", "slice/unknown-sum",
+         "first-order/unknot", "first-order/unknot"),
 }
 
 
@@ -59,7 +62,14 @@ def reports():
     """Every tree's report, keyed by the tree: nodes are interned."""
     sizes = trees_by_size(MAX_NODES)
     assert [len(trees) for trees in sizes[1:]] == [7, 14, 518, 2996]
-    return {e: cli.report(e) for trees in sizes for e in trees}
+    picked = [sub for text in HAND_PICKED for sub in subtrees(parse(text))]
+    return {e: cli.report(e) for trees in [*sizes, picked] for e in trees}
+
+
+def rule_tuple(report) -> tuple:
+    rules = tuple(record.rule for record in report.facts.provenance[:3])
+    bounds = {record.bound: record.rule for record in report.fog.provenance}
+    return (*rules, bounds["lo"], bounds.get("hi"))
 
 
 def test_facts_equal_the_oracle(reports):
@@ -110,10 +120,8 @@ def test_every_warning_names_a_subtree(reports):
 
 def test_rule_tuples_reached(reports):
     assert {e.__class__ for e in reports} == set(NODE_CLASSES)
-    reached = set()
-    for report in reports.values():
-        rules = tuple(record.rule for record in report.facts.provenance[:3])
-        bounds = {record.bound: record.rule for record in report.fog.provenance}
-        reached.add((*rules, bounds["lo"], bounds.get("hi")))
-    assert len(reached) == 21
-    assert not reached & NOT_REACHED
+    enumerated = {rule_tuple(reports[e]) for trees in trees_by_size(MAX_NODES) for e in trees}
+    assert len(enumerated) == 21
+    for text, rules in HAND_PICKED.items():
+        assert rule_tuple(reports[parse(text)]) == rules and rules not in enumerated, text
+    assert len({rule_tuple(report) for report in reports.values()}) == 23
