@@ -4,9 +4,10 @@ Derives, with per-rule provenance: a genus interval, the Alexander
 polynomial, a sliceness tri-state, membership in class R (nontrivial
 knots that are neither torus nor cable knots), and triviality.  Every
 rule is either an exact closed form for a node type or a conservative
-interval; nothing is ever guessed.  One fold step, `node_facts`, gives
-each fact its value and rule id; the Alexander fact is the `#` spine's
-multiset of genus-one factors, multiplied out once by `knot_facts`.
+interval; nothing is ever guessed.  The one fold step, `firstorder.step`,
+gives each fact its value and rule id; the Alexander fact is the `#`
+spine's multiset of genus-one factors, multiplied out once by
+`knot_facts`.  `_ANCHORS` is the one rule table of both engines.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import collections
 
 from .frozen import Frozen, integer
-from .knotlang import (Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState,
-                       Unknot, Wh0, fold, render)
+from .knotlang import KnotExpr, Ksat, TriState, fold, render
 from .laurent import LaurentPoly
 
 
@@ -91,17 +91,19 @@ def satellite_of_first(e: Ksat) -> TriState:
 
 
 class NodeFacts(collections.namedtuple(
-        "NodeFacts", "genus trivial slice in_R factors summands rules failed warned")):
-    """One node's classical facts; `rules` names its genus, Alexander and
-    slice rules.  The Alexander fact, the `#` spine's multiset of q_k =
-    `genus_one_alexander(k)`, takes O(1) per node: a spine leaf's
-    `factors` are its (k, e) pairs, k != 0, a `#`'s `summands` its two
-    records, and `factors` is None if an atom is on the spine.  `failed`
-    pairs the warning of each closed-form guard failing at the node with
-    the subtree it names; `warned` holds the child records under which a
-    guard fails.  `genus` is an IntInterval, and `trivial`, `slice` and
-    `in_R` are TriStates.  The records are namedtuple subclasses, not
-    `typing.NamedTuple`s, so that a CLI process does not import `typing`."""
+        "NodeFacts", "genus trivial slice in_R factors summands rules failed warned lo hi")):
+    """One node's record from `firstorder.step`; `rules` names its genus,
+    Alexander and slice rules, and its first-order bounds `lo` and `hi`
+    (None if unknown) are (value, rule id) pairs.  The Alexander fact,
+    the `#` spine's multiset of q_k = `genus_one_alexander(k)`, takes
+    O(1) per node: a spine leaf's `factors` are its (k, e) pairs, k != 0,
+    a `#`'s `summands` its two records, and `factors` is None if an atom
+    is on the spine.  `failed` pairs the warning of each closed-form
+    guard failing at the node with the subtree it names; `warned` holds
+    the child records under which a guard fails.  `genus` is an
+    IntInterval, and `trivial`, `slice` and `in_R` are TriStates.  The
+    records are namedtuple subclasses, not `typing.NamedTuple`s, so that
+    a CLI process does not import `typing`."""
 
     __slots__ = ()
 
@@ -121,78 +123,6 @@ class NodeFacts(collections.namedtuple(
                 warnings.append(message + text)
             stack.extend(reversed(facts.warned))
         return warnings
-
-
-def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
-    """The fold step of the facts engine, run once per distinct subtree
-    by `firstorder.step`.  Every closed-form guard is evaluated here only;
-    the first-order bounds and `NodeFacts.warnings` read `failed`.  Each
-    rule id is chosen where its value is; no companion adds a factor.
-    One branch per node class, tested by identity: node classes are final."""
-    cls = e.__class__
-    torus, cable, slice_ = e.flags  # all unknown on composite nodes
-    failed: list[tuple[str, KnotExpr]] = []
-    factors: tuple[tuple[int, int], ...] | None = ()  # unknot, doubles
-    summands: tuple[NodeFacts, ...] = ()
-    if cls is Unknot:
-        genus, slice_ = IntInterval.point(0), TriState.YES
-        rules = "genus/unknot", "alexander/unknot", "slice/unknot"
-    elif cls is Trefoil or cls is Fig8:
-        genus, factors = IntInterval.point(1), ((1 if cls is Trefoil else -1, 1),)
-        rules = "genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"
-    elif cls is Kfam:
-        genus, factors = IntInterval.point(e.n), ((-2, e.n),)  # PRETZEL_BASE ** n
-        rules = "genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"
-    elif cls is Atom:
-        genus, factors = IntInterval.point(e.genus), None
-        rules = "genus/declared", "alexander/unknown", "slice/declared"
-    elif cls is Sum:
-        left, right = kids
-        genus = left.genus + right.genus
-        both = left.slice is TriState.YES and right.slice is TriState.YES
-        slice_, slice_rule = ((TriState.YES, "slice/connected-sum") if both else
-                              (TriState.UNKNOWN, "slice/unknown-sum"))
-        if left.factors is None or right.factors is None:
-            factors, alexander_rule = None, "alexander/unknown-summand"
-        else:  # the multiset sum, added up by `_alexander`
-            summands, alexander_rule = (left, right), "alexander/connected-sum"
-        rules = "genus/connected-sum", alexander_rule, slice_rule
-    elif cls is Wh0:
-        (companion,) = kids
-        genus = (IntInterval.point(0) if companion.trivial is TriState.YES else
-                 IntInterval.point(1) if companion.trivial is TriState.NO else IntInterval(0, 1))
-        slice_, slice_rule = ((TriState.YES, "slice/double-of-slice")
-                              if companion.slice is TriState.YES else
-                              (TriState.UNKNOWN, "slice/unknown-double"))
-        rules = "genus/whitehead-double", "alexander/untwisted-double", slice_rule
-        if companion.trivial is not TriState.NO:
-            failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
-        if e.companion.flags[1] is not TriState.NO:
-            failed.append(("whitehead closed form requires a noncable companion: ", e.companion))
-    else:  # Ksat
-        j, l = kids
-        of_j, of_l = _satellite(e.n, l.trivial), _satellite(e.m, j.trivial)
-        # A zero framing next to a trivial knot collapses the construction;
-        # a satellite of a nontrivial companion has genus exactly one.
-        if of_j is TriState.NO or of_l is TriState.NO:
-            genus, genus_rule = IntInterval.point(0), "genus/satellite-unknot"
-        elif (of_j is TriState.YES and j.trivial is TriState.NO) \
-                or (of_l is TriState.YES and l.trivial is TriState.NO):
-            genus, genus_rule = IntInterval.point(1), "genus/satellite-one"
-        else:
-            genus, genus_rule = IntInterval(0, 1), "genus/standard-surface"
-        factors = ((e.m * e.n, 1),) if e.m and e.n else ()
-        rules = genus_rule, "alexander/twist-model", "slice/unknown"
-        for side, sub, facts in (("first", e.j, j), ("second", e.l, l)):
-            if facts.in_R is not TriState.YES:
-                failed.append((f"satellite closed forms require the {side} companion in class R: ", sub))
-    trivial = (TriState.YES if genus.hi == 0 else
-               TriState.NO if genus.lo >= 1 else TriState.UNKNOWN)
-    flags = (trivial, torus, cable)
-    in_r = (TriState.NO if TriState.YES in flags else
-            TriState.YES if flags == (TriState.NO,) * 3 else TriState.UNKNOWN)
-    warned = tuple([k for k in kids if k.failed or k.warned])
-    return NodeFacts(genus, trivial, slice_, in_r, factors, summands, rules, tuple(failed), warned)
 
 
 def _alexander(facts: NodeFacts) -> LaurentPoly | None:
@@ -235,34 +165,39 @@ def _alexander(facts: NodeFacts) -> LaurentPoly | None:
 
 def genus_of(e: KnotExpr) -> IntInterval:
     """Genus interval; a point wherever a closed form applies."""
-    return fold(e, node_facts).genus
+    from .firstorder import step  # the fold step sits above this module
+    return fold(e, step).genus
 
 
 def trivial_of(e: KnotExpr) -> TriState:
     """Trivial iff genus zero."""
-    return fold(e, node_facts).trivial
+    from .firstorder import step
+    return fold(e, step).trivial
 
 
 def slice_of(e: KnotExpr) -> TriState:
     """Smooth sliceness tri-state."""
-    return fold(e, node_facts).slice
+    from .firstorder import step
+    return fold(e, step).slice
 
 
 def class_r_of(e: KnotExpr) -> TriState:
     """Membership in class R: nontrivial, not a torus knot, not a cable knot."""
-    return fold(e, node_facts).in_R
+    from .firstorder import step
+    return fold(e, step).in_R
 
 
 def alexander_of(e: KnotExpr) -> LaurentPoly | None:
     """Canonical Alexander polynomial, or None when an atom is on the `#`
     spine.  It folds the whole tree, companions' guards included."""
-    return _alexander(fold(e, node_facts))
+    from .firstorder import step
+    return _alexander(fold(e, step))
 
 
 # -- provenance ----------------------------------------------------------------
 
 
-# Rule id -> anchor, the one place each classical rule is spelled.
+# Rule id -> anchor, the one place each rule of either engine is spelled.
 _ANCHORS = {
     "genus/unknot": "the unknot bounds a disc",
     "genus/curated-leaf": "trefoil and figure-eight have genus one",
@@ -301,11 +236,26 @@ _ANCHORS = {
         "the companion is not known slice, and no rule decides the sliceness of its untwisted double",
     "class-r/definition": "class R consists of nontrivial knots that are neither torus nor cable knots",
     "trivial/genus": "a knot is trivial iff it has genus zero",
+    "first-order/twice-genus": "the first-order genus is at least twice the genus: no basis curve of a "
+                               "minimal surface bounds a disc in the complement",
+    "first-order/unknot": "the unknot has first-order genus zero",
+    "first-order/leaf-certificate": "each basis curve of the standard genus-one surface bounds a punctured torus",
+    "first-order/double-enumerator": "on the unique minimal surface of a double of a noncable knot, every "
+                                     "basis curve is a satellite of the companion: g1 >= 1 + g(companion)",
+    "first-order/double-certificate": "on the standard double surface one curve bounds a pushed-off minimal "
+                                      "surface of the companion and the other a punctured torus",
+    "first-order/satellite-enumerator": "every symplectic basis of a minimal surface consists of satellites of "
+                                        "the two companions: g1 >= g(J) + g(L)",
+    "first-order/satellite-certificate": "at zero framings the two companion Seifert surfaces attach to the "
+                                         "standard surface: g1 <= g(J) + g(L)",
+    "first-order/subadditive": "the first-order genus is subadditive under connected sum",
 }
+
 
 def facts_of(e: KnotExpr) -> KnotFacts:
     """All classical invariants with one provenance record per fact."""
-    return knot_facts(e, fold(e, node_facts))
+    from .firstorder import step
+    return knot_facts(e, fold(e, step))
 
 
 def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:

@@ -41,9 +41,9 @@ from .laurent import ONE
 
 
 class Report(collections.namedtuple("Report", "expression facts fog warnings")):
-    """Three readers of one `fold(expr, firstorder.step)`; no recomputation.
-    `facts` is a KnotFacts, `fog` a FirstOrderResult and `warnings` a
-    tuple of strings."""
+    """Three readers of the root record of one `fold(expr, firstorder.step)`;
+    no recomputation.  `facts` is a KnotFacts, `fog` a FirstOrderResult
+    and `warnings` a tuple of strings."""
 
     __slots__ = ()
 
@@ -69,16 +69,17 @@ class Report(collections.namedtuple("Report", "expression facts fog warnings")):
 
 
 def report(expr: KnotExpr) -> Report:
-    """The report on one expression, from one `fold(expr, firstorder.step)`.
-    The expression line and the warnings share one `render` memo, so each
-    subtree a warning names is spelled once; the memo lives for this call."""
-    facts, lo, hi = fold(expr, firstorder.step)
+    """The report on one expression, from the root's `NodeFacts` record of
+    one `fold(expr, firstorder.step)`.  The expression line and the
+    warnings share one `render` memo, so each subtree a warning names is
+    spelled once; the memo lives for this call."""
+    record = fold(expr, firstorder.step)
     texts: dict = {}
     return Report(
         expression=render(expr, texts=texts),
-        facts=classical.knot_facts(expr, facts),
-        fog=firstorder.first_order_result(lo, hi),
-        warnings=tuple(facts.warnings(texts)),
+        facts=classical.knot_facts(expr, record),
+        fog=firstorder.first_order_result(record),
+        warnings=tuple(record.warnings(texts)),
     )
 
 

@@ -22,6 +22,8 @@ upper bounds
     * subadditivity under connected sum.
 
 Unknown simply stays unknown: hi = None whenever no certificate exists.
+`step` is the one fold step of a report: one `classical.NodeFacts` per
+node holds its classical facts and these bounds, with their rule ids.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 import collections
 import functools
 
-from .classical import IntInterval, NodeFacts, node_facts
+from .classical import _ANCHORS, IntInterval, NodeFacts, _satellite
 from .frozen import Frozen, integer
-from .knotlang import Fig8, KnotExpr, Ksat, Sum, Trefoil, TriState, Wh0, fold
+from .knotlang import Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState, Unknot, Wh0, fold
 
 
 class WeakGropeCertificate(Frozen):
@@ -129,45 +131,26 @@ def min_basis_bound(g_alpha: int, g_beta: int) -> tuple[int, BasisWitness]:
 # -- interval assembly -----------------------------------------------------
 
 
-# Rule id -> anchor, the one place each first-order rule is spelled.
-_ANCHORS = {
-    "first-order/twice-genus": "the first-order genus is at least twice the genus: no basis curve of a "
-                               "minimal surface bounds a disc in the complement",
-    "first-order/unknot": "the unknot has first-order genus zero",
-    "first-order/leaf-certificate": "each basis curve of the standard genus-one surface bounds a punctured torus",
-    "first-order/double-enumerator": "on the unique minimal surface of a double of a noncable knot, every "
-                                     "basis curve is a satellite of the companion: g1 >= 1 + g(companion)",
-    "first-order/double-certificate": "on the standard double surface one curve bounds a pushed-off minimal "
-                                      "surface of the companion and the other a punctured torus",
-    "first-order/satellite-enumerator": "every symplectic basis of a minimal surface consists of satellites of "
-                                        "the two companions: g1 >= g(J) + g(L)",
-    "first-order/satellite-certificate": "at zero framings the two companion Seifert surfaces attach to the "
-                                         "standard surface: g1 <= g(J) + g(L)",
-    "first-order/subadditive": "the first-order genus is subadditive under connected sum",
-}
-
-
 def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     """Certified interval for the first-order genus, with provenance.
 
     A guard that is not established disables its rule and becomes one of
     `NodeFacts.warnings`.  `cli.report` folds `step` itself.
     """
-    _, lo, hi = fold(e, step)
-    return first_order_result(lo, hi)
+    return first_order_result(fold(e, step))
 
 
-def first_order_result(lo: tuple[int, str], hi: tuple[int, str] | None) -> FirstOrderResult:
-    """The root's bounds from `step`, with one provenance record each."""
-    records = [BoundRecord("lo", *lo, _ANCHORS[lo[1]])]
-    if hi is not None:
-        records.append(BoundRecord("hi", *hi, _ANCHORS[hi[1]]))
+def first_order_result(record: NodeFacts) -> FirstOrderResult:
+    """The root's bounds from its `step` record, with one provenance record each."""
+    lo, hi = record.lo, record.hi
+    records = [BoundRecord(bound, *pair, _ANCHORS[pair[1]])
+               for bound, pair in (("lo", lo), ("hi", hi)) if pair is not None]
     return FirstOrderResult(IntInterval(lo[0], None if hi is None else hi[0]), tuple(records))
 
 
-def _certified(cert: WeakGropeCertificate, facts: NodeFacts, rule: str) -> tuple[int, str]:
-    """The certificate's (value, rule id), if it can be valid for an
-    expression with these facts; otherwise AssertionError naming why.
+def _certified(cert: WeakGropeCertificate, rule: str, genus: IntInterval, trivial: TriState) -> tuple[int, str]:
+    """The certificate's (value, rule id), if it can be valid for a knot of
+    this genus and triviality; otherwise AssertionError naming why.
 
     The first stage must be a minimal genus surface, so its genus must
     equal the (exactly known) genus of the expression; and no second
@@ -175,20 +158,25 @@ def _certified(cert: WeakGropeCertificate, facts: NodeFacts, rule: str) -> tuple
     basis curve would compress the surface below minimal genus.
     """
     reasons: list[str] = []
-    if not facts.genus.is_point():
+    if not genus.is_point():
         reasons.append("genus of expression not exactly known")
-    elif cert.first_stage_genus != facts.genus.lo:
+    elif cert.first_stage_genus != genus.lo:
         reasons.append("first stage not minimal genus")
-    if facts.trivial is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
+    if trivial is TriState.NO and any(s == 0 for s in cert.second_stage_genera):
         reasons.append("zero second stage on nontrivial knot")
     if reasons:  # a bug in the rules, so `python -O` must keep this check
         raise AssertionError(f"invalid {rule} certificate: {'; '.join(reasons)}")
     return cert.value, rule
 
 
-def step(e: KnotExpr, kids: list) -> tuple[NodeFacts, tuple[int, str], tuple[int, str] | None]:
-    """The fold step of a report: e's facts, from one `node_facts` call,
-    and its bounds lo and hi (None if unknown) as (value, rule id) pairs.
+def step(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
+    """The fold step of a report, run once per distinct subtree: e's
+    record from its children's.  One branch per node class, tested by
+    identity (node classes are final), chooses each fact with its rule id,
+    evaluates the node's closed-form guards, here only (the bounds and
+    `NodeFacts.warnings` read `failed`), and names the first-order rule
+    that fires there, if any; each certificate is checked after the
+    branch.  No companion adds a factor.
 
     The rules exclude each other, so each bound is chosen, not searched
     for.  A trivial node takes `first-order/unknot` for both: no guard
@@ -202,28 +190,88 @@ def step(e: KnotExpr, kids: list) -> tuple[NodeFacts, tuple[int, str], tuple[int
     only with twice the genus and subadditivity (0 and 0 + 0), an
     enumerator only with twice the genus (at g = 1).
     """
-    facts = node_facts(e, [k[0] for k in kids])
-    if facts.trivial is TriState.YES:
-        return facts, (0, "first-order/unknot"), (0, "first-order/unknot")
-    lo, hi = (2 * facts.genus.lo, "first-order/twice-genus"), None
     cls = e.__class__
-    if cls is Trefoil or cls is Fig8:
-        hi = _certified(WeakGropeCertificate(1, (1, 1)), facts, "first-order/leaf-certificate")
-    # A guard passes only on companions that are leaves flagged noncable
-    # (fig8, kfam, atom), so their genus is exact and .lo is that genus.
-    elif cls is Wh0 and not facts.failed:
-        g_j = kids[0][0].genus.lo
-        lo = min_basis_bound(g_j, 0)[0], "first-order/double-enumerator"
-        hi = _certified(WeakGropeCertificate(1, (g_j, 1)), facts, "first-order/double-certificate")
-    elif cls is Ksat and not facts.failed:
-        gj, gl = kids[0][0].genus.lo, kids[1][0].genus.lo
-        lo = min_basis_bound(gj, gl)[0], "first-order/satellite-enumerator"
-        if e.m == 0 and e.n == 0:
-            hi = _certified(WeakGropeCertificate(1, (gj, gl)), facts,
-                            "first-order/satellite-certificate")
-    elif cls is Sum and kids[0][2] is not None and kids[1][2] is not None:
-        hi = kids[0][2][0] + kids[1][2][0], "first-order/subadditive"
+    torus, cable, slice_ = e.flags  # all unknown on composite nodes
+    failed: list[tuple[str, KnotExpr]] = []
+    factors: tuple[tuple[int, int], ...] | None = ()  # unknot, doubles
+    summands: tuple[NodeFacts, ...] = ()
+    lo = hi = cert = None  # cert: a (certificate, rule id) pair, checked below
+    if cls is Unknot:
+        genus, slice_ = IntInterval.point(0), TriState.YES
+        rules = "genus/unknot", "alexander/unknot", "slice/unknot"
+    elif cls is Trefoil or cls is Fig8:
+        genus, factors = IntInterval.point(1), ((1 if cls is Trefoil else -1, 1),)
+        rules = "genus/curated-leaf", "alexander/seifert-determinant", "slice/curated-leaf"
+        cert = WeakGropeCertificate(1, (1, 1)), "first-order/leaf-certificate"
+    elif cls is Kfam:
+        genus, factors = IntInterval.point(e.n), ((-2, e.n),)  # PRETZEL_BASE ** n
+        rules = "genus/pretzel-family", "alexander/pretzel-power", "slice/ribbon"
+    elif cls is Atom:
+        genus, factors = IntInterval.point(e.genus), None
+        rules = "genus/declared", "alexander/unknown", "slice/declared"
+    elif cls is Sum:
+        left, right = kids
+        genus = left.genus + right.genus
+        both = left.slice is TriState.YES and right.slice is TriState.YES
+        slice_, slice_rule = ((TriState.YES, "slice/connected-sum") if both else
+                              (TriState.UNKNOWN, "slice/unknown-sum"))
+        if left.factors is None or right.factors is None:
+            factors, alexander_rule = None, "alexander/unknown-summand"
+        else:  # the multiset sum, added up by `classical._alexander`
+            summands, alexander_rule = (left, right), "alexander/connected-sum"
+        rules = "genus/connected-sum", alexander_rule, slice_rule
+        if left.hi is not None and right.hi is not None:
+            hi = left.hi[0] + right.hi[0], "first-order/subadditive"
+    elif cls is Wh0:
+        (companion,) = kids
+        genus = (IntInterval.point(0) if companion.trivial is TriState.YES else
+                 IntInterval.point(1) if companion.trivial is TriState.NO else IntInterval(0, 1))
+        slice_, slice_rule = ((TriState.YES, "slice/double-of-slice")
+                              if companion.slice is TriState.YES else
+                              (TriState.UNKNOWN, "slice/unknown-double"))
+        rules = "genus/whitehead-double", "alexander/untwisted-double", slice_rule
+        if companion.trivial is not TriState.NO:
+            failed.append(("whitehead closed form requires a companion known nontrivial: ", e.companion))
+        if e.companion.flags[1] is not TriState.NO:
+            failed.append(("whitehead closed form requires a noncable companion: ", e.companion))
+        # A guard passes only on companions that are leaves flagged noncable
+        # (fig8, kfam, atom), so their genus is exact and .lo is that genus.
+        if not failed:
+            lo = min_basis_bound(companion.genus.lo, 0)[0], "first-order/double-enumerator"
+            cert = WeakGropeCertificate(1, (companion.genus.lo, 1)), "first-order/double-certificate"
+    else:  # Ksat
+        j, l = kids
+        of_j, of_l = _satellite(e.n, l.trivial), _satellite(e.m, j.trivial)
+        # A zero framing next to a trivial knot collapses the construction;
+        # a satellite of a nontrivial companion has genus exactly one.
+        if of_j is TriState.NO or of_l is TriState.NO:
+            genus, genus_rule = IntInterval.point(0), "genus/satellite-unknot"
+        elif (of_j is TriState.YES and j.trivial is TriState.NO) \
+                or (of_l is TriState.YES and l.trivial is TriState.NO):
+            genus, genus_rule = IntInterval.point(1), "genus/satellite-one"
+        else:
+            genus, genus_rule = IntInterval(0, 1), "genus/standard-surface"
+        factors = ((e.m * e.n, 1),) if e.m and e.n else ()
+        rules = genus_rule, "alexander/twist-model", "slice/unknown"
+        for side, sub, facts in (("first", e.j, j), ("second", e.l, l)):
+            if facts.in_R is not TriState.YES:
+                failed.append((f"satellite closed forms require the {side} companion in class R: ", sub))
+        if not failed:  # both companions are such leaves
+            gj, gl = j.genus.lo, l.genus.lo
+            lo = min_basis_bound(gj, gl)[0], "first-order/satellite-enumerator"
+            if e.m == 0 and e.n == 0:
+                cert = WeakGropeCertificate(1, (gj, gl)), "first-order/satellite-certificate"
+    trivial = (TriState.YES if genus.hi == 0 else
+               TriState.NO if genus.lo >= 1 else TriState.UNKNOWN)
+    flags = (trivial, torus, cable)
+    in_r = (TriState.NO if TriState.YES in flags else
+            TriState.YES if flags == (TriState.NO,) * 3 else TriState.UNKNOWN)
+    lo = lo or (2 * genus.lo, "first-order/twice-genus")  # unless an enumerator fired
+    if cert is not None:
+        hi = _certified(*cert, genus, trivial)
+    if trivial is TriState.YES:  # no certificate is made on a trivial node
+        lo = hi = 0, "first-order/unknot"
     if hi is not None and lo[0] > hi[0]:
-        raise AssertionError(
-            f"inconsistent first-order bounds [{lo[0]}, {hi[0]}]: engine rules disagree")
-    return facts, lo, hi
+        raise AssertionError(f"inconsistent first-order bounds [{lo[0]}, {hi[0]}]: engine rules disagree")
+    warned = tuple([k for k in kids if k.failed or k.warned])
+    return NodeFacts(genus, trivial, slice_, in_r, factors, summands, rules, tuple(failed), warned, lo, hi)

@@ -559,10 +559,10 @@ def _repr_pieces(e: KnotExpr) -> list:
 def validate(e: KnotExpr) -> list[str]:
     """Warnings for every closed-form guard that is not established.
 
-    The guards are `classical.node_facts`'s, which the first-order bounds
-    read too.  Warnings come in pre-order, and never abort evaluation;
-    they mark bounds the engine will leave open.
+    The guards are `firstorder.step`'s, which reads them for the
+    first-order bounds too.  Warnings come in pre-order, and never abort
+    evaluation; they mark bounds the engine will leave open.
     """
-    from . import classical  # facts engine sits above the language layer
+    from . import firstorder  # the fold step sits above the language layer
 
-    return fold(e, classical.node_facts).warnings()
+    return fold(e, firstorder.step).warnings()

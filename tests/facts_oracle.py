@@ -1,6 +1,7 @@
 """`classical.node_facts`, `_RULES`, `knot_facts` and `alexander_of` as
 they were before the fold carried the rule ids and the Alexander factor
-multiset, kept as the differential oracle for the facts engine.
+multiset, kept as the differential oracle for the facts engine (since
+then `node_facts` has become the classical half of `firstorder.step`).
 
 Here the fold decides the values only.  `knot_facts` then takes the rule
 ids from the root's node type (`_RULES`), and `alexander_of` walks the
@@ -36,9 +37,9 @@ class NodeFacts(NamedTuple):
 
 
 def node_facts(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
-    """The fold step of the facts engine, run once per distinct subtree
-    by `firstorder.step`.  Every closed-form guard is evaluated here only;
-    the first-order bounds and `NodeFacts.warnings` read `failed`."""
+    """The oracle's fold step, once per distinct subtree: the classical
+    facts and failed guards that `firstorder.step` puts in each record,
+    without its rule ids, Alexander factors or first-order bounds."""
     torus, cable, slice_ = e.flags  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []
     if isinstance(e, Unknot):

@@ -1,6 +1,7 @@
-import inspect
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +9,12 @@ from test_cli import run_python
 from test_golden import HAND_PICKED
 
 from knotfog import classical, cli, firstorder
-from knotfog.classical import IntInterval, genus_of, node_facts
+from knotfog.classical import IntInterval, NodeFacts, genus_of
 from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _certified,
                                 first_order_genus, min_basis_bound, step)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0, fold, parse, validate)
+from knotfog.laurent import LaurentPoly
 from knotfog.selftest import random_expr
 
 
@@ -39,10 +41,12 @@ RULE = "first-order/leaf-certificate"
 
 
 def check_certificate(cert, e):
-    """Why `_certified` refuses the certificate on e's folded facts, as its
-    message's reasons; empty if it certifies (cert.value, RULE)."""
+    """Why `_certified` refuses the certificate on the genus and triviality
+    of e's fold record, as its message's reasons; empty if it certifies
+    (cert.value, RULE)."""
+    facts = fold(e, step)
     try:
-        certified = _certified(cert, fold(e, node_facts), RULE)
+        certified = _certified(cert, RULE, facts.genus, facts.trivial)
     except AssertionError as exc:
         prefix = f"invalid {RULE} certificate: "
         assert str(exc).startswith(prefix), exc
@@ -54,8 +58,8 @@ def check_certificate(cert, e):
 class TestCheckCertificate:
     def test_trefoil_certificate_valid(self):
         assert check_certificate(WeakGropeCertificate(1, (1, 1)), Trefoil()) == ()
-        assert _certified(WeakGropeCertificate(1, (1, 1)), fold(Trefoil(), node_facts),
-                          RULE) == (2, RULE)
+        facts = fold(Trefoil(), step)
+        assert _certified(WeakGropeCertificate(1, (1, 1)), RULE, facts.genus, facts.trivial) == (2, RULE)
 
     def test_wrong_first_stage(self):
         reasons = check_certificate(WeakGropeCertificate(2, (1, 1, 1, 1)), Trefoil())
@@ -71,20 +75,21 @@ class TestCheckCertificate:
         assert reasons == ("genus of expression not exactly known",)
 
     def test_two_reasons_in_order(self):
+        facts = fold(Fig8(), step)
         with pytest.raises(AssertionError) as exc:
-            _certified(WeakGropeCertificate(2, (0, 1, 1, 1)), fold(Fig8(), node_facts), RULE)
+            _certified(WeakGropeCertificate(2, (0, 1, 1, 1)), RULE, facts.genus, facts.trivial)
         assert str(exc.value) == (f"invalid {RULE} certificate: "
                                   "first stage not minimal genus; zero second stage on nontrivial knot")
 
     def test_wrong_certificate_raises_under_optimization(self):
         # `_certified` guards every upper bound; the check must survive `python -O`.
         proc = run_python("-O", "-c", (
-            "from knotfog.classical import node_facts\n"
-            "from knotfog.firstorder import WeakGropeCertificate, _certified\n"
+            "from knotfog.firstorder import WeakGropeCertificate, _certified, step\n"
             "from knotfog.knotlang import Trefoil, fold\n"
+            "facts = fold(Trefoil(), step)\n"
             "try:\n"
-            "    _certified(WeakGropeCertificate(2, (1, 1, 1, 1)), fold(Trefoil(), node_facts),\n"
-            "               'first-order/leaf-certificate')\n"
+            "    _certified(WeakGropeCertificate(2, (1, 1, 1, 1)), 'first-order/leaf-certificate',\n"
+            "               facts.genus, facts.trivial)\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"))
         assert (proc.returncode, proc.stdout) == (
@@ -263,7 +268,7 @@ class TestProvenance:
         assert rules["hi"] == "first-order/double-certificate"
 
     def test_enumerator_fires_exactly_when_validate_adds_no_warning(self):
-        # the bounds and validate both read the guards of classical.node_facts;
+        # the bounds and validate both read the guards of firstorder.step;
         # the enumerator rule must fire exactly where no guard fails
         rng = random.Random(8128)
         checked = fired = 0
@@ -337,10 +342,12 @@ def corpus() -> list:
     return [random_expr(rng, 1 + i % 7) for i in range(3000)] + [parse(t) for t in HAND_PICKED]
 
 
-def candidate_step(e, kids):
+def candidate_step(e, facts, kids):
     """The reference selection: every rule that applies adds a (value, rule)
-    candidate, and a bound is the first candidate of best value."""
-    facts = node_facts(e, [k[0] for k in kids])
+    candidate, and a bound is the first candidate of best value.  It reads
+    the classical fields of e's `step` record, `facts`, and ignores its
+    `lo` and `hi`; kids holds each child's (record, lo, hi), with the
+    bounds from this search."""
     lows, highs = [], []
     if facts.trivial is TriState.YES:
         lows.append((0, "first-order/unknot"))
@@ -362,39 +369,136 @@ def candidate_step(e, kids):
     lows.append((2 * facts.genus.lo, "first-order/twice-genus"))
     lo = next(c for c in lows if c[0] == max(v for v, _ in lows))
     hi = next(c for c in highs if c[0] == min(v for v, _ in highs)) if highs else None
-    return facts, lo, hi
+    return lo, hi
 
 
 class TestRuleSelection:
     def test_step_picks_what_the_candidate_search_picks(self):
         def both(e, kids):
             chosen = step(e, [k[0] for k in kids])
-            searched = candidate_step(e, [k[1] for k in kids])
-            assert chosen[1:] == searched[1:], e
-            return chosen, searched
+            lo, hi = candidate_step(e, chosen, kids)
+            assert (chosen.lo, chosen.hi) == (lo, hi), e
+            return chosen, lo, hi
 
         for e in corpus():
-            _, (_, lo, hi) = fold(e, both)
+            record, lo, hi = fold(e, both)
+            assert record.__class__ is NodeFacts
             fog = first_order_genus(e)
             assert (fog.lo, fog.hi) == (lo[0], None if hi is None else hi[0]), e
             assert [(r.bound, r.value, r.rule) for r in fog.provenance] == \
                 [("lo", *lo)] + ([] if hi is None else [("hi", *hi)]), e
 
 
-class TestRuleTables:
-    def test_every_rule_emitted_has_its_anchor_and_every_anchor_is_emitted(self):
-        for engine, records in ((firstorder, lambda e: first_order_genus(e).provenance),
-                                (classical, lambda e: classical.facts_of(e).provenance)):
-            emitted = set()
-            for e in corpus():
-                for record in records(e):
-                    assert record.anchor == engine._ANCHORS[record.rule]
-                    emitted.add(record.rule)
-            assert emitted == set(engine._ANCHORS), engine.__name__
+PACKAGE = Path(firstorder.__file__).resolve().parent
+
+
+class TestRuleTable:
+    """`classical._ANCHORS` is the one rule id -> anchor table of both engines."""
+
+    def test_every_emitted_record_has_the_tables_anchor(self):
+        emitted = set()
+        for e in corpus():
+            report = cli.report(e)
+            for record in (*report.facts.provenance, *report.fog.provenance):
+                assert record.anchor == classical._ANCHORS[record.rule]
+                emitted.add(record.rule)
+        assert emitted == set(classical._ANCHORS)
+        assert len(emitted) == 36
 
     def test_no_anchor_is_spelled_twice(self):
-        anchors = [*classical._ANCHORS.values(), *firstorder._ANCHORS.values()]
+        anchors = list(classical._ANCHORS.values())
         assert len(set(anchors)) == len(anchors)
-        source = inspect.getsource(classical) + inspect.getsource(firstorder)
+        source = "".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
         for anchor in anchors:  # each split line holds more than its first 40 characters
             assert source.count(anchor[:40]) == 1, anchor
+
+    def test_the_source_has_one_rule_table(self):
+        # a dict literal keyed by rule ids, such as "genus/unknot" or "first-order/unknot"
+        tables = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Dict) and any(
+                      isinstance(key, ast.Constant) and key.value in classical._ANCHORS
+                      for key in node.keys)]
+        assert tables == ["classical.py"]
+
+
+class TestOneFoldStep:
+    def test_every_fold_of_a_report_steps_with_step(self):
+        # `fold(e, step)` is the only traversal of a report; knotlang's
+        # interning folds its rows and is not a report
+        folds = [(path.stem, ast.unparse(node.args[1])) for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fold"]
+        assert sorted(set(folds)) == [("classical", "step"), ("cli", "firstorder.step"),
+                                      ("firstorder", "step"), ("knotlang", "firstorder.step"),
+                                      ("knotlang", "row")]
+        assert not hasattr(classical, "node_facts")
+
+    def test_fold_gives_a_record_with_bounds(self):
+        record = fold(parse("wh0(kfam(2)) # trefoil"), step)
+        assert record.__class__ is NodeFacts
+        assert (record.lo, record.hi) == ((4, "first-order/twice-genus"), (5, "first-order/subadditive"))
+        double = record.summands[0]
+        assert (double.lo, double.hi) == ((3, "first-order/double-enumerator"),
+                                          (3, "first-order/double-certificate"))
+
+
+class TestRuntimeChecks:
+    """The two checks that only a fault in the rules can trip, injected.
+    Both are AssertionErrors raised explicitly, so `python -O` keeps them."""
+
+    def test_inconsistent_bounds_raise(self, monkeypatch):
+        monkeypatch.setattr(firstorder, "min_basis_bound", lambda g, h: (3, None))
+        with pytest.raises(AssertionError, match=r"^inconsistent first-order bounds \[3, 2\]: "
+                                                 r"engine rules disagree$"):
+            fold(parse("wh0(fig8)"), step)
+
+    def test_alexander_failing_determinant_one_raises(self, monkeypatch):
+        monkeypatch.setattr(classical, "_alexander", lambda facts: LaurentPoly(0, (1, 1)))
+        e = parse("wh0(fig8)")
+        with pytest.raises(AssertionError, match=r"^Alexander polynomial of wh0\(fig8, clasp=\+\) "
+                                                 r"fails the determinant-one check$"):
+            classical.knot_facts(e, fold(e, step))
+
+    def test_both_raise_under_optimization(self):
+        proc = run_python("-O", "-c", (
+            "from knotfog import classical, firstorder\n"
+            "from knotfog.knotlang import fold, parse\n"
+            "from knotfog.laurent import LaurentPoly\n"
+            "e = parse('wh0(fig8)')\n"
+            "bound = firstorder.min_basis_bound\n"
+            "firstorder.min_basis_bound = lambda g, h: (3, None)\n"
+            "try:\n"
+            "    fold(e, firstorder.step)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+            "firstorder.min_basis_bound = bound\n"
+            "classical._alexander = lambda facts: LaurentPoly(0, (1, 1))\n"
+            "try:\n"
+            "    classical.knot_facts(e, fold(e, firstorder.step))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"))
+        assert (proc.returncode, proc.stdout.splitlines()) == (0, [
+            "inconsistent first-order bounds [3, 2]: engine rules disagree",
+            "Alexander polynomial of wh0(fig8, clasp=+) fails the determinant-one check"]), proc.stderr
+
+
+class TestImportLayering:
+    """Each module alone, in a fresh interpreter, folds the one step through
+    a function-level import and answers as `cli.report` does; only
+    `firstorder` loads `firstorder` when it is imported.  -S, so that
+    `site` loads nothing first."""
+
+    @pytest.mark.parametrize("e", ["wh0(fig8)", "ksat(fig8, trefoil, 0, 0) # wh0(kfam(2))"])
+    @pytest.mark.parametrize("module, call, read", [
+        ("classical", "classical.facts_of(parse(E))", lambda report: report.facts),
+        ("firstorder", "firstorder.first_order_genus(parse(E))", lambda report: report.fog),
+        ("knotlang", "knotlang.validate(parse(E))", lambda report: list(report.warnings)),
+    ])
+    def test_module_alone_answers_as_the_report_does(self, module, call, read, e):
+        code = (f"import sys\nimport knotfog.{module} as {module}\n"
+                "print('knotfog.firstorder' in sys.modules)\n"
+                f"from knotfog.knotlang import parse\nE = {e!r}\nprint(repr({call}))\n")
+        proc = run_python("-S", "-c", code)
+        assert proc.returncode == 0, proc.stderr[-800:]
+        assert proc.stdout.splitlines() == [str(module == "firstorder"), repr(read(cli.report(parse(e))))]

@@ -224,14 +224,14 @@ class TestFold:
 
     def test_engines_run_one_step_per_node(self):
         # an n-term chain has 2n - 1 node occurrences but n - 1 sums over
-        # three leaf objects; each engine steps once per distinct object
+        # three leaf objects; each reader folds the one step once per distinct object
         n = 2000
         e = chain(n)
         distinct = len(subtrees(e))
         assert distinct == (n - 1) + 3
-        assert count_calls(classical.node_facts.__code__, lambda: classical.facts_of(e)) == distinct
+        assert count_calls(firstorder.step.__code__, lambda: classical.facts_of(e)) == distinct
         assert count_calls(firstorder.step.__code__, lambda: firstorder.first_order_genus(e)) == distinct
-        assert count_calls(classical.node_facts.__code__, lambda: validate(e)) == distinct
+        assert count_calls(firstorder.step.__code__, lambda: validate(e)) == distinct
 
 
 class TestOneFoldPerReport:
@@ -246,7 +246,7 @@ class TestOneFoldPerReport:
         nodes = len(subtrees(parse(text)))
         report = lambda: cli.report(parse(text))
         assert count_calls(fold.__code__, report) == 1
-        assert count_calls(classical.node_facts.__code__, report) == nodes
+        assert count_calls(firstorder.step.__code__, report) == nodes
 
     def test_report_builds_records_only_at_the_root(self):
         # the fold carries (value, rule id) pairs; one result, one record per bound
@@ -358,7 +358,7 @@ class TestSharing:
             e = Ksat(e, e, 0, 0)
         text = render(e)
         report = lambda: cli.report(parse(text))
-        assert count_calls(classical.node_facts.__code__, report) == d + 1
+        assert count_calls(firstorder.step.__code__, report) == d + 1
         # levels 2..d each name the level below twice: d - 1 distinct subtrees,
         # plus the report's own expression
         assert count_calls(render.__code__, report) <= (d - 1) + 1
@@ -383,8 +383,8 @@ class TestSharedFold:
             want = fold_per_occurrence(e, firstorder.step)
             for tree in (e, parse(render(e))):
                 got = fold(tree, firstorder.step)
-                assert got == want
-                assert got[0].warnings() == want[0].warnings()
+                assert got == want  # whole records: facts, bounds and guards
+                assert got.warnings() == want.warnings()
 
     def test_post_order_visits_each_distinct_subtree_once(self):
         for e in self.shared_trees(99, 200):

@@ -17,7 +17,9 @@ share one), 8 at `#`, 6 at wh0 and 5 at ksat.  The trees reach 21 of
 them.  `HAND_PICKED` adds a tree, with its subtrees, for each of the
 other two: a slice atom on a `#` spine, which the alphabet has not, and
 a trivial `#` with a summand not known slice, which needs a collapsed
-ksat (three nodes) and a second summand.  So all 23 are reached.
+ksat (three nodes) and a second summand.  So all 23 are reached, and
+with them every one of the 36 rule ids in the one rule table,
+`classical._ANCHORS`.
 """
 
 import pytest
@@ -25,7 +27,7 @@ import pytest
 import facts_oracle
 import seifert_oracle
 from test_knotlang import NODE_CLASSES, subtrees
-from knotfog import cli
+from knotfog import classical, cli
 from knotfog.knotlang import Ksat, Sum, Wh0, parse, render
 from knotfog.laurent import unit_equivalent
 
@@ -125,3 +127,9 @@ def test_rule_tuples_reached(reports):
     for text, rules in HAND_PICKED.items():
         assert rule_tuple(reports[parse(text)]) == rules and rules not in enumerated, text
     assert len({rule_tuple(report) for report in reports.values()}) == 23
+
+
+def test_rule_ids_emitted_are_the_table(reports):
+    emitted = {record.rule for report in reports.values()
+               for record in (*report.facts.provenance, *report.fog.provenance)}
+    assert emitted == set(classical._ANCHORS) and len(emitted) == 36
