@@ -15,12 +15,11 @@ loads only the modules its command needs.
 # Each public name and the module it lives in.
 _EXPORTS = {
     **dict.fromkeys((
-        "IntInterval", "KnotFacts", "Provenance", "alexander_of", "class_r_of",
-        "facts_of", "genus_of", "satellite_of_first", "slice_of",
-        "trivial_of"), "classical"),
+        "KnotFacts", "Provenance", "alexander_of", "class_r_of", "facts_of",
+        "genus_of", "satellite_of_first", "slice_of", "trivial_of"), "classical"),
     **dict.fromkeys((
-        "BasisWitness", "BoundRecord", "FirstOrderResult", "WeakGropeCertificate",
-        "first_order_genus", "min_basis_bound"), "firstorder"),
+        "BasisWitness", "BoundRecord", "FirstOrderResult", "IntInterval",
+        "WeakGropeCertificate", "first_order_genus", "min_basis_bound"), "firstorder"),
     **dict.fromkeys((
         "Atom", "Fig8", "Kfam", "KnotExpr", "Ksat", "ParseError", "Sum", "Trefoil",
         "TriState", "Unknot", "Wh0", "parse", "render", "validate"),

@@ -138,7 +138,7 @@ def family_table(n_max: int) -> str:
         answer = report(Wh0(Kfam(n)))
         facts, fog = answer.facts, answer.fog
         # checks that can fail only on a bug, raised so that `python -O` keeps them
-        if not (facts.genus == classical.IntInterval.point(1) and facts.alexander == ONE
+        if not (facts.genus == firstorder.IntInterval.point(1) and facts.alexander == ONE
                 and facts.slice is TriState.YES and (fog.lo, fog.hi) == (n + 1, n + 1)):
             raise AssertionError(f"family row {n}: genus {facts.genus}, alexander {facts.alexander}, "
                                  f"slice {facts.slice}, g1 {fog.interval} != [{n + 1}, {n + 1}]")

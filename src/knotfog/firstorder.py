@@ -22,8 +22,10 @@ upper bounds
     * subadditivity under connected sum.
 
 Unknown simply stays unknown: hi = None whenever no certificate exists.
-`step` is the one fold step of a report: one `classical.NodeFacts` per
-node holds its classical facts and these bounds, with their rule ids.
+`step` is the one fold step of a report: one `NodeFacts` per node holds
+its classical facts and these bounds, with their rule ids, and
+`_ANCHORS` is the one rule table of both engines.  This module imports
+no other engine; `classical` reads the root's record.
 """
 
 from __future__ import annotations
@@ -31,9 +33,37 @@ from __future__ import annotations
 import collections
 import functools
 
-from .classical import _ANCHORS, IntInterval, NodeFacts, _satellite
 from .frozen import Frozen, integer
-from .knotlang import Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState, Unknot, Wh0, fold
+from .knotlang import Atom, Fig8, Kfam, KnotExpr, Ksat, Sum, Trefoil, TriState, Unknot, Wh0, fold, render
+
+
+class IntInterval(Frozen):
+    """Integer interval [lo, hi]; hi=None means unbounded above.  Each bound
+    given must be an int (not a bool)."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int | None):
+        if integer(lo, "interval lower bound") < 0:
+            raise ValueError(f"interval lower bound must be nonnegative, got {lo}")
+        if hi is not None and lo > integer(hi, "interval upper bound"):
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def point(cls, value: int) -> "IntInterval":
+        return cls(value, value)
+
+    def is_point(self) -> bool:
+        return self.hi == self.lo
+
+    def __add__(self, other: "IntInterval") -> "IntInterval":
+        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
+        return IntInterval(self.lo + other.lo, hi)
+
+    def __str__(self) -> str:
+        return f"[{self.lo}, {'inf' if self.hi is None else self.hi}]"
 
 
 class WeakGropeCertificate(Frozen):
@@ -146,6 +176,105 @@ def first_order_result(record: NodeFacts) -> FirstOrderResult:
     records = [BoundRecord(bound, *pair, _ANCHORS[pair[1]])
                for bound, pair in (("lo", lo), ("hi", hi)) if pair is not None]
     return FirstOrderResult(IntInterval(lo[0], None if hi is None else hi[0]), tuple(records))
+
+
+# Rule id -> anchor, the one place each rule of either engine is spelled.
+_ANCHORS = {
+    "genus/unknot": "the unknot bounds a disc",
+    "genus/curated-leaf": "trefoil and figure-eight have genus one",
+    "genus/pretzel-family":
+        "the n-th pretzel-family surface has genus n and is minimal by the degree of its Alexander polynomial",
+    "genus/declared": "genus declared on the atom",
+    "genus/connected-sum": "genus is additive under connected sum",
+    "genus/whitehead-double":
+        "an untwisted double has genus one for a nontrivial companion and is trivial for a trivial one",
+    "genus/satellite-unknot":
+        "a zero framing next to a trivial companion collapses the construction to the unknot",
+    "genus/satellite-one":
+        "a certified satellite carried by the standard genus-one surface has genus exactly one",
+    "genus/standard-surface":
+        "the standard surface bounds the genus by one; nontriviality is not established",
+    "alexander/unknot": "the unknot has trivial Alexander polynomial",
+    "alexander/seifert-determinant": "det(V - t*V^T) of the curated genus-one Seifert matrix",
+    "alexander/pretzel-power": "the pretzel family satisfies Delta_n = (-2t^2+5t-2)^n",
+    "alexander/untwisted-double": "untwisted doubles have trivial Alexander polynomial",
+    "alexander/twist-model":
+        "the standard genus-one surface with band framings m, n has Seifert matrix [[m,1],[0,n]]",
+    "alexander/connected-sum": "Alexander polynomials multiply under connected sum",
+    "alexander/unknown": "no rule produces the polynomial of an opaque atom",
+    "alexander/unknown-summand":
+        "an atom on the connected-sum spine has an unknown polynomial, so the product is unknown",
+    "slice/unknot": "the unknot is slice",
+    "slice/ribbon": "the pretzel family is ribbon, and ribbon implies slice",
+    "slice/curated-leaf": "curated flag: classical sliceness obstructions",
+    "slice/declared": "sliceness declared on the atom",
+    "slice/double-of-slice": "the untwisted double of a smoothly slice knot is smoothly slice",
+    "slice/connected-sum": "a connected sum of slice knots is slice",
+    "slice/unknown": "no sliceness rule applies to the doubly-companioned construction",
+    "slice/unknown-sum":
+        "a summand is not known slice, and no rule decides the sliceness of the sum",
+    "slice/unknown-double":
+        "the companion is not known slice, and no rule decides the sliceness of its untwisted double",
+    "class-r/definition": "class R consists of nontrivial knots that are neither torus nor cable knots",
+    "trivial/genus": "a knot is trivial iff it has genus zero",
+    "first-order/twice-genus": "the first-order genus is at least twice the genus: no basis curve of a "
+                               "minimal surface bounds a disc in the complement",
+    "first-order/unknot": "the unknot has first-order genus zero",
+    "first-order/leaf-certificate": "each basis curve of the standard genus-one surface bounds a punctured torus",
+    "first-order/double-enumerator": "on the unique minimal surface of a double of a noncable knot, every "
+                                     "basis curve is a satellite of the companion: g1 >= 1 + g(companion)",
+    "first-order/double-certificate": "on the standard double surface one curve bounds a pushed-off minimal "
+                                      "surface of the companion and the other a punctured torus",
+    "first-order/satellite-enumerator": "every symplectic basis of a minimal surface consists of satellites of "
+                                        "the two companions: g1 >= g(J) + g(L)",
+    "first-order/satellite-certificate": "at zero framings the two companion Seifert surfaces attach to the "
+                                         "standard surface: g1 <= g(J) + g(L)",
+    "first-order/subadditive": "the first-order genus is subadditive under connected sum",
+}
+
+
+class NodeFacts(collections.namedtuple(
+        "NodeFacts", "genus trivial slice in_R factors summands rules failed warned lo hi")):
+    """One node's record from `firstorder.step`; `rules` names its genus,
+    Alexander and slice rules, and its first-order bounds `lo` and `hi`
+    (None if unknown) are (value, rule id) pairs.  The Alexander fact,
+    the `#` spine's multiset of q_k = `genus_one_alexander(k)`, takes
+    O(1) per node: a spine leaf's `factors` are its (k, e) pairs, k != 0,
+    a `#`'s `summands` its two records, and `factors` is None if an atom
+    is on the spine.  `failed` pairs the warning of each closed-form
+    guard failing at the node with the subtree it names; `warned` holds
+    the child records under which a guard fails.  `genus` is an
+    IntInterval, and `trivial`, `slice` and `in_R` are TriStates.  The
+    records are namedtuple subclasses, not `typing.NamedTuple`s, so that
+    a CLI process does not import `typing`."""
+
+    __slots__ = ()
+
+    def warnings(self, texts: dict | None = None) -> list[str]:
+        """A warning per closed-form guard failing in the subtree, pre-order.
+        Each named subtree is rendered once, through `texts`, the memo of
+        `render`; a subtree it already spells is a lookup."""
+        warnings: list[str] = []
+        texts = {} if texts is None else texts
+        stack = [self]
+        while stack:
+            facts = stack.pop()
+            for message, sub in facts.failed:
+                text = texts.get(id(sub))
+                if text.__class__ is not str:  # not yet joined: `render` joins or spells it
+                    text = render(sub, texts=texts)
+                warnings.append(message + text)
+            stack.extend(reversed(facts.warned))
+        return warnings
+
+
+def _satellite(framing: int, other_trivial: TriState) -> TriState:
+    """Whether a ksat is a satellite of one companion: yes if the framing
+    next to the other knot is nonzero or that knot is nontrivial, no if a
+    zero framing meets a trivial knot (the unknot results), else unknown."""
+    if framing != 0 or other_trivial is TriState.NO:
+        return TriState.YES
+    return TriState.NO if other_trivial is TriState.YES else TriState.UNKNOWN
 
 
 def _certified(cert: WeakGropeCertificate, rule: str, genus: IntInterval, trivial: TriState) -> tuple[int, str]:

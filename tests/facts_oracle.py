@@ -1,7 +1,9 @@
-"""`classical.node_facts`, `_RULES`, `knot_facts` and `alexander_of` as
-they were before the fold carried the rule ids and the Alexander factor
-multiset, kept as the differential oracle for the facts engine (since
-then `node_facts` has become the classical half of `firstorder.step`).
+"""The facts engine's fold step `node_facts`, `_RULES`, `knot_facts` and
+`alexander_of` as they were in `classical` before the fold carried the
+rule ids and the Alexander factor multiset, kept as the differential
+oracle for the facts engine (since then `node_facts` has become the
+classical half of `firstorder.step`, whose record is
+`firstorder.NodeFacts`).
 
 Here the fold decides the values only.  `knot_facts` then takes the rule
 ids from the root's node type (`_RULES`), and `alexander_of` walks the

@@ -431,3 +431,36 @@ class TestMaterialization:
             assert got.alexander is None
         else:
             assert got == IntInterval.point(5000)
+
+    @pytest.mark.parametrize("text, top, light", [
+        # {1: 1, -1: 2, 6: 1, -2: 3}
+        ("trefoil # fig8 # fig8 # ksat(fig8, fig8, 2, 3) # kfam(3)", (-2, 3), [1, -1, -1, 6]),
+        # {1: 3, -1: 1, 6: 1, -2: 5}: the exponents run against the norms,
+        # so a key that reads e in place of k orders the factors otherwise
+        ("trefoil # trefoil # trefoil # fig8 # ksat(fig8, fig8, 2, 3) # kfam(5)", (-2, 5),
+         [1, 1, 1, -1, 6]),
+    ], ids=["mixed-spine", "exponents-against-norms"])
+    def test_the_largest_power_first_then_single_factors_by_one_norm(self, monkeypatch, text, top,
+                                                                     light):
+        calls = []
+        power, product = LaurentPoly.__pow__, LaurentPoly.__mul__
+
+        def record_power(p, k):
+            calls.append(("pow", p, k))
+            return power(p, k)
+
+        def record_product(q, p):
+            calls.append(("mul", q))
+            return product(q, p)
+
+        e = parse(text)
+        expected = facts_oracle.alexander_of(e)
+        monkeypatch.setattr(LaurentPoly, "__pow__", record_power)
+        monkeypatch.setattr(LaurentPoly, "__mul__", record_product)
+        got = alexander_of(e)
+        monkeypatch.undo()
+        assert got == expected
+        assert calls[0] == ("pow", genus_one_alexander(top[0]), top[1])
+        assert calls[1:] == [("mul", genus_one_alexander(k)) for k in light]
+        norms = [sum(map(abs, q.coeffs)) for _, q in calls[1:]]
+        assert norms == sorted(norms)

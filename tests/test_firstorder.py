@@ -9,9 +9,9 @@ from test_cli import run_python
 from test_golden import HAND_PICKED
 
 from knotfog import classical, cli, firstorder
-from knotfog.classical import IntInterval, NodeFacts, genus_of
-from knotfog.firstorder import (BasisWitness, WeakGropeCertificate, _certified,
-                                first_order_genus, min_basis_bound, step)
+from knotfog.classical import genus_of
+from knotfog.firstorder import (BasisWitness, IntInterval, NodeFacts, WeakGropeCertificate,
+                                _certified, first_order_genus, min_basis_bound, step)
 from knotfog.knotlang import (Atom, Fig8, Kfam, Ksat, Sum, Trefoil, TriState,
                               Unknot, Wh0, fold, parse, validate)
 from knotfog.laurent import LaurentPoly
@@ -393,20 +393,20 @@ PACKAGE = Path(firstorder.__file__).resolve().parent
 
 
 class TestRuleTable:
-    """`classical._ANCHORS` is the one rule id -> anchor table of both engines."""
+    """`firstorder._ANCHORS` is the one rule id -> anchor table of both engines."""
 
     def test_every_emitted_record_has_the_tables_anchor(self):
         emitted = set()
         for e in corpus():
             report = cli.report(e)
             for record in (*report.facts.provenance, *report.fog.provenance):
-                assert record.anchor == classical._ANCHORS[record.rule]
+                assert record.anchor == firstorder._ANCHORS[record.rule]
                 emitted.add(record.rule)
-        assert emitted == set(classical._ANCHORS)
+        assert emitted == set(firstorder._ANCHORS)
         assert len(emitted) == 36
 
     def test_no_anchor_is_spelled_twice(self):
-        anchors = list(classical._ANCHORS.values())
+        anchors = list(firstorder._ANCHORS.values())
         assert len(set(anchors)) == len(anchors)
         source = "".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
         for anchor in anchors:  # each split line holds more than its first 40 characters
@@ -417,9 +417,9 @@ class TestRuleTable:
         tables = [path.name for path in sorted(PACKAGE.glob("*.py"))
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if isinstance(node, ast.Dict) and any(
-                      isinstance(key, ast.Constant) and key.value in classical._ANCHORS
+                      isinstance(key, ast.Constant) and key.value in firstorder._ANCHORS
                       for key in node.keys)]
-        assert tables == ["classical.py"]
+        assert tables == ["firstorder.py"]
 
 
 class TestOneFoldStep:
@@ -484,10 +484,11 @@ class TestRuntimeChecks:
 
 
 class TestImportLayering:
-    """Each module alone, in a fresh interpreter, folds the one step through
-    a function-level import and answers as `cli.report` does; only
-    `firstorder` loads `firstorder` when it is imported.  -S, so that
-    `site` loads nothing first."""
+    """Each module alone, in a fresh interpreter, folds the one step and
+    answers as `cli.report` does.  `classical` imports `firstorder` at
+    module level, beneath it; `knotlang` imports it only inside
+    `validate`, so importing the language layer loads no engine.  -S, so
+    that `site` loads nothing first."""
 
     @pytest.mark.parametrize("e", ["wh0(fig8)", "ksat(fig8, trefoil, 0, 0) # wh0(kfam(2))"])
     @pytest.mark.parametrize("module, call, read", [
@@ -501,4 +502,49 @@ class TestImportLayering:
                 f"from knotfog.knotlang import parse\nE = {e!r}\nprint(repr({call}))\n")
         proc = run_python("-S", "-c", code)
         assert proc.returncode == 0, proc.stderr[-800:]
-        assert proc.stdout.splitlines() == [str(module == "firstorder"), repr(read(cli.report(parse(e))))]
+        assert proc.stdout.splitlines() == [str(module != "knotlang"), repr(read(cli.report(parse(e))))]
+
+
+
+# Each module's rank in the import chain frozen -> laurent -> knotlang ->
+# firstorder -> classical -> cli -> selftest; seifert sits on laurent, so
+# it shares knotlang's rank and neither imports the other.
+RANKS = {"frozen": 0, "laurent": 1, "knotlang": 2, "seifert": 2, "firstorder": 3,
+         "classical": 4, "cli": 5, "selftest": 6}
+
+
+def package_imports() -> dict[str, list[tuple[str | None, str]]]:
+    """For each module but `__init__`, a (qualified name of the enclosing
+    function, or None at module level; imported knotfog module) pair per
+    relative import in its source."""
+    imports: dict[str, list[tuple[str | None, str]]] = {}
+
+    def visit(node: ast.AST, found: list, scope: list[str], in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                targets = [child.module] if child.module else [alias.name for alias in child.names]
+                found.extend((".".join(scope) if in_function else None, target) for target in targets)
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            named = function or isinstance(child, ast.ClassDef)
+            visit(child, found, [*scope, child.name] if named else scope, in_function or function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            visit(ast.parse(path.read_text(encoding="utf-8")), imports.setdefault(path.stem, []), [], False)
+    return imports
+
+
+class TestImportGraph:
+    def test_module_level_imports_go_down_the_chain(self):
+        imports = package_imports()
+        assert set(imports) == set(RANKS)
+        upward = [(module, target) for module, found in imports.items() for function, target in found
+                  if function is None and RANKS[target] >= RANKS[module]]
+        assert upward == []
+
+    def test_only_two_function_level_imports(self):
+        # validate folds the step above the language layer, and perfbench's
+        # tracer resolves `knotlang.validate`; only `main` runs the selftest
+        found = sorted(f"{module}.{function} -> {target}" for module, found in package_imports().items()
+                       for function, target in found if function is not None)
+        assert found == ["cli.main -> selftest", "knotlang.validate -> firstorder"]

@@ -19,7 +19,7 @@ other two: a slice atom on a `#` spine, which the alphabet has not, and
 a trivial `#` with a summand not known slice, which needs a collapsed
 ksat (three nodes) and a second summand.  So all 23 are reached, and
 with them every one of the 36 rule ids in the one rule table,
-`classical._ANCHORS`.
+`firstorder._ANCHORS`.
 """
 
 import pytest
@@ -27,7 +27,7 @@ import pytest
 import facts_oracle
 import seifert_oracle
 from test_knotlang import NODE_CLASSES, subtrees
-from knotfog import classical, cli
+from knotfog import cli, firstorder
 from knotfog.knotlang import Ksat, Sum, Wh0, parse, render
 from knotfog.laurent import unit_equivalent
 
@@ -132,4 +132,4 @@ def test_rule_tuples_reached(reports):
 def test_rule_ids_emitted_are_the_table(reports):
     emitted = {record.rule for report in reports.values()
                for record in (*report.facts.provenance, *report.fog.provenance)}
-    assert emitted == set(classical._ANCHORS) and len(emitted) == 36
+    assert emitted == set(firstorder._ANCHORS) and len(emitted) == 36
