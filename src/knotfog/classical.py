@@ -1,13 +1,14 @@
 """The classical view of a construction tree's root.
 
-Reads off the root's record from `firstorder.step`, the one fold step,
+Reads off the root's record in the memo of `fold(e, firstorder.step)`,
 with per-rule provenance: a genus interval, the Alexander polynomial, a
 sliceness tri-state, membership in class R (nontrivial knots that are
 neither torus nor cable knots), and triviality.  Every rule is either an
 exact closed form for a node type or a conservative interval; nothing is
 ever guessed.  The step gives each fact its value and rule id, and
 `firstorder._ANCHORS` its anchor; the Alexander fact is the `#` spine's
-multiset of genus-one factors, multiplied out once here by `_alexander`.
+multiset of genus-one factors, which `_alexander` counts in one backward
+pass over the memo and multiplies out once.
 """
 
 from __future__ import annotations
@@ -51,33 +52,27 @@ def satellite_of_first(e: Ksat) -> TriState:
     return _satellite(e.n, trivial_of(e.l))
 
 
-def _alexander(facts: NodeFacts) -> LaurentPoly | None:
-    """The canonical product of q_k^e over the spine's multiset {k: e}, or
-    None if an atom is on the spine.  Each distinct spine record is met
-    once: in topological order it passes the number of spine paths that
-    reach it on to its summands.  The largest power is one Miller pass
-    (`LaurentPoly.__pow__`), and every other factor is multiplied in one
-    copy at a time, so no two powers meet in `__mul__`.  A copy costs the
-    length times the size of the coefficients so far, so factors go
-    smallest 1-norm first."""
-    if facts.factors is None:
+def _alexander(records: dict[KnotExpr, NodeFacts]) -> LaurentPoly | None:
+    """The canonical product of q_k^e over the root's spine multiset {k: e},
+    or None if an atom is on the spine.  `records` is the root's `fold`
+    memo, where a summand's record precedes every `#` record that holds
+    it and the root's comes last, so one backward pass hands each spine
+    record's count of paths from the root on to its summands.  The largest
+    power is one Miller pass (`LaurentPoly.__pow__`), and every other
+    factor is multiplied in one copy at a time, so no two powers meet in
+    `__mul__`.  A copy costs the length times the size of the coefficients
+    so far, so factors go smallest 1-norm first."""
+    root = next(reversed(records.values()))
+    if root.factors is None:
         return None
-    order, seen, stack = [], set(), [(facts, False)]
-    while stack:  # post-order: summands before the sums that hold them
-        record, finished = stack.pop()
-        if finished:
-            order.append(record)
-        elif id(record) not in seen:
-            seen.add(id(record))
-            stack.append((record, True))
-            stack.extend((summand, False) for summand in record.summands)
-    paths, factors = {id(facts): 1}, {}
-    for record in reversed(order):
-        n = paths[id(record)]
-        for summand in record.summands:
-            paths[id(summand)] = paths.get(id(summand), 0) + n
-        for k, e in record.factors:
-            factors[k] = factors.get(k, 0) + n * e
+    paths, factors = {id(root): 1}, {}  # by id, as distinct nodes may have equal records
+    for record in reversed(records.values()):
+        n = paths.get(id(record))
+        if n:
+            for summand in record.summands:
+                paths[id(summand)] = paths.get(id(summand), 0) + n
+            for k, e in record.factors:
+                factors[k] = factors.get(k, 0) + n * e
     ordered = sorted(factors.items(), key=lambda factor: 2 * abs(factor[0]) + abs(2 * factor[0] - 1))
     top, power = max(ordered, key=lambda factor: factor[1], default=(0, 0))  # q_0^0 = 1
     product = genus_one_alexander(top) ** power
@@ -91,22 +86,22 @@ def _alexander(facts: NodeFacts) -> LaurentPoly | None:
 
 def genus_of(e: KnotExpr) -> IntInterval:
     """Genus interval; a point wherever a closed form applies."""
-    return fold(e, step).genus
+    return fold(e, step)[e].genus
 
 
 def trivial_of(e: KnotExpr) -> TriState:
     """Trivial iff genus zero."""
-    return fold(e, step).trivial
+    return fold(e, step)[e].trivial
 
 
 def slice_of(e: KnotExpr) -> TriState:
     """Smooth sliceness tri-state."""
-    return fold(e, step).slice
+    return fold(e, step)[e].slice
 
 
 def class_r_of(e: KnotExpr) -> TriState:
     """Membership in class R: nontrivial, not a torus knot, not a cable knot."""
-    return fold(e, step).in_R
+    return fold(e, step)[e].in_R
 
 
 def alexander_of(e: KnotExpr) -> LaurentPoly | None:
@@ -123,10 +118,10 @@ def facts_of(e: KnotExpr) -> KnotFacts:
     return knot_facts(e, fold(e, step))
 
 
-def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:
-    """e's classical invariants and provenance, read off its fold record
+def knot_facts(e: KnotExpr, records: dict[KnotExpr, NodeFacts]) -> KnotFacts:
+    """e's classical invariants and provenance, read off its `fold` memo
     alone; the Alexander polynomial is built once, from its multiset."""
-    alexander = _alexander(facts)
+    facts, alexander = records[e], _alexander(records)
     provenance = tuple([Provenance(fact, rule, _ANCHORS[rule]) for fact, rule in (
         *zip(("genus", "alexander", "slice"), facts.rules),
         ("in_R", "class-r/definition"), ("trivial", "trivial/genus"))])

@@ -69,15 +69,15 @@ class Report(collections.namedtuple("Report", "expression facts fog warnings")):
 
 
 def report(expr: KnotExpr) -> Report:
-    """The report on one expression, from the root's `NodeFacts` record of
-    one `fold(expr, firstorder.step)`.  The expression line and the
-    warnings share one `render` memo, so each subtree a warning names is
-    spelled once; the memo lives for this call."""
-    record = fold(expr, firstorder.step)
-    texts: dict = {}
+    """The report on one expression, from the memo of one
+    `fold(expr, firstorder.step)` and its root's record.  The expression
+    line and the warnings share one `render` memo, so each subtree a
+    warning names is spelled once; the memo lives for this call."""
+    records = fold(expr, firstorder.step)
+    record, texts = records[expr], {}
     return Report(
         expression=render(expr, texts=texts),
-        facts=classical.knot_facts(expr, record),
+        facts=classical.knot_facts(expr, records),
         fog=firstorder.first_order_result(record),
         warnings=tuple(record.warnings(texts)),
     )

@@ -167,7 +167,7 @@ def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     A guard that is not established disables its rule and becomes one of
     `NodeFacts.warnings`.  `cli.report` folds `step` itself.
     """
-    return first_order_result(fold(e, step))
+    return first_order_result(fold(e, step)[e])
 
 
 def first_order_result(record: NodeFacts) -> FirstOrderResult:
@@ -252,15 +252,15 @@ class NodeFacts(collections.namedtuple(
 
     def warnings(self, texts: dict | None = None) -> list[str]:
         """A warning per closed-form guard failing in the subtree, pre-order.
-        Each named subtree is rendered once, through `texts`, the memo of
-        `render`; a subtree it already spells is a lookup."""
+        Each named subtree is rendered once, through `texts`, `render`'s
+        memo keyed by node; a subtree it already spells is a lookup."""
         warnings: list[str] = []
         texts = {} if texts is None else texts
         stack = [self]
         while stack:
             facts = stack.pop()
             for message, sub in facts.failed:
-                text = texts.get(id(sub))
+                text = texts.get(sub)
                 if text.__class__ is not str:  # not yet joined: `render` joins or spells it
                     text = render(sub, texts=texts)
                 warnings.append(message + text)

@@ -29,8 +29,9 @@ Each node class is one row of the language: `children()`, its subtrees
 in text order, which are its first fields (() for a leaf); `flags`, its
 curated (torus, cable, slice), all UNKNOWN unless the class states them;
 and `pieces()`, its text as strings and child nodes.  `fold` and
-`render` read the row.  Node classes are final, so the engines above
-dispatch on `e.__class__` with `is`, once per node.
+`render` read the row and key their memos by node; `fold` returns its
+memo, so `fold(e, step)[e]` is the root's value.  Node classes are
+final, so the engines above dispatch on `e.__class__` with `is`.
 """
 
 from __future__ import annotations
@@ -474,26 +475,27 @@ def parse(text: str) -> KnotExpr:
 # -- traversal and serializer ------------------------------------------------
 
 
-def fold(e: KnotExpr, step):
+def fold(e: KnotExpr, step) -> dict:
     """step(node, child values in text order) once per distinct subtree,
-    children first; returns the root's value.  Equal subtrees are one
-    object, so a subtree met again reuses its value.  An explicit stack
-    replaces recursion, so no depth reaches the interpreter's recursion
-    limit."""
-    done: dict[int, object] = {}
+    children first; returns the memo, each distinct subtree's value keyed
+    by the node, in that order: `fold(e, step)[e]`, the root's, comes last
+    and every child's before its parent's.  Equal subtrees are one object,
+    so a subtree met again reuses its value.  An explicit stack replaces
+    recursion, so no depth reaches the interpreter's recursion limit."""
+    done: dict = {}
     stack: list = [(e, None)]
     while stack:
         node, kids = stack.pop()
         if kids is None:
-            if id(node) in done:
+            if node in done:
                 continue
             kids = node.children()
             if kids:
                 stack.append((node, kids))
                 stack.extend((kid, None) for kid in reversed(kids))
                 continue
-        done[id(node)] = step(node, [done[id(kid)] for kid in kids])
-    return done[id(e)]
+        done[node] = step(node, [done[kid] for kid in kids])
+    return done
 
 
 def _unpickle(rows: list[tuple]) -> KnotExpr:
@@ -517,7 +519,7 @@ def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
     for, so a call costs O(distinct subtrees + output).  The root's text
     is kept in `texts` as well.  A caller may pass one `texts` to several
     calls with the same `pieces`, as `cli.report` does for its expression
-    line and warnings; it is keyed by id, so it must not outlive the nodes.
+    line and warnings; keyed by node, it keeps the nodes it spells alive.
     Texts are not built bottom-up with `fold`: every prefix of a `#` chain
     is a distinct subtree, so keeping each one's text would be quadratic."""
     if e.__class__ is str or e.__class__ is list:  # the loop would take it for a piece
@@ -532,18 +534,17 @@ def render(e: KnotExpr, pieces=None, texts: dict | None = None) -> str:
         elif item.__class__ is list:  # the end of a node's first text
             item.append(len(out))
         else:
-            key = id(item)
-            text = texts.get(key)
+            text = texts.get(item)
             if text is None:  # met first: spell it, noting where its text starts
-                texts[key] = span = [out, len(out)]
+                texts[item] = span = [out, len(out)]
                 stack.append(span)
                 stack.extend(reversed(item.pieces() if pieces is None else pieces(item)))
                 continue
             if text.__class__ is list:  # met again: join its first text, once
                 source, start, end = text
-                text = texts[key] = "".join(source[start:end])
+                text = texts[item] = "".join(source[start:end])
             out.append(text)
-    text = texts[id(e)] = "".join(out)
+    text = texts[e] = "".join(out)
     return text
 
 
@@ -565,4 +566,4 @@ def validate(e: KnotExpr) -> list[str]:
     """
     from . import firstorder  # the fold step sits above the language layer
 
-    return fold(e, firstorder.step).warnings()
+    return fold(e, firstorder.step)[e].warnings()

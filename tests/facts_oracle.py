@@ -148,7 +148,7 @@ _RULES = {
 
 def facts_of(e: KnotExpr) -> KnotFacts:
     """All classical invariants with one provenance record per fact."""
-    return knot_facts(e, fold(e, node_facts))
+    return knot_facts(e, fold(e, node_facts)[e])
 
 
 def knot_facts(e: KnotExpr, facts: NodeFacts) -> KnotFacts:

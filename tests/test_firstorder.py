@@ -44,7 +44,7 @@ def check_certificate(cert, e):
     """Why `_certified` refuses the certificate on the genus and triviality
     of e's fold record, as its message's reasons; empty if it certifies
     (cert.value, RULE)."""
-    facts = fold(e, step)
+    facts = fold(e, step)[e]
     try:
         certified = _certified(cert, RULE, facts.genus, facts.trivial)
     except AssertionError as exc:
@@ -58,7 +58,7 @@ def check_certificate(cert, e):
 class TestCheckCertificate:
     def test_trefoil_certificate_valid(self):
         assert check_certificate(WeakGropeCertificate(1, (1, 1)), Trefoil()) == ()
-        facts = fold(Trefoil(), step)
+        facts = fold(Trefoil(), step)[Trefoil()]
         assert _certified(WeakGropeCertificate(1, (1, 1)), RULE, facts.genus, facts.trivial) == (2, RULE)
 
     def test_wrong_first_stage(self):
@@ -75,7 +75,7 @@ class TestCheckCertificate:
         assert reasons == ("genus of expression not exactly known",)
 
     def test_two_reasons_in_order(self):
-        facts = fold(Fig8(), step)
+        facts = fold(Fig8(), step)[Fig8()]
         with pytest.raises(AssertionError) as exc:
             _certified(WeakGropeCertificate(2, (0, 1, 1, 1)), RULE, facts.genus, facts.trivial)
         assert str(exc.value) == (f"invalid {RULE} certificate: "
@@ -86,7 +86,7 @@ class TestCheckCertificate:
         proc = run_python("-O", "-c", (
             "from knotfog.firstorder import WeakGropeCertificate, _certified, step\n"
             "from knotfog.knotlang import Trefoil, fold\n"
-            "facts = fold(Trefoil(), step)\n"
+            "facts = fold(Trefoil(), step)[Trefoil()]\n"
             "try:\n"
             "    _certified(WeakGropeCertificate(2, (1, 1, 1, 1)), 'first-order/leaf-certificate',\n"
             "               facts.genus, facts.trivial)\n"
@@ -381,7 +381,7 @@ class TestRuleSelection:
             return chosen, lo, hi
 
         for e in corpus():
-            record, lo, hi = fold(e, both)
+            record, lo, hi = fold(e, both)[e]
             assert record.__class__ is NodeFacts
             fog = first_order_genus(e)
             assert (fog.lo, fog.hi) == (lo[0], None if hi is None else hi[0]), e
@@ -435,7 +435,8 @@ class TestOneFoldStep:
         assert not hasattr(classical, "node_facts")
 
     def test_fold_gives_a_record_with_bounds(self):
-        record = fold(parse("wh0(kfam(2)) # trefoil"), step)
+        e = parse("wh0(kfam(2)) # trefoil")
+        record = fold(e, step)[e]
         assert record.__class__ is NodeFacts
         assert (record.lo, record.hi) == ((4, "first-order/twice-genus"), (5, "first-order/subadditive"))
         double = record.summands[0]

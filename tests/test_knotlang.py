@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from test_cli import run_python
 from knotfog import classical, cli, firstorder
 from knotfog.knotlang import (KFAM_MAX, Atom, Fig8, Kfam, KnotExpr, Ksat, ParseError, Sum,
                               Trefoil, TriState, Unknot, Wh0, fold, parse, render, validate)
+from knotfog.laurent import ONE
 from knotfog.selftest import random_expr
 
 
@@ -206,7 +208,7 @@ class TestFold:
             visited.append(type(node).__name__)
             return f"{type(node).__name__}({', '.join(kids)})"
 
-        assert fold(e, step) == "Sum(Ksat(Wh0(Fig8()), Sum(Trefoil(), Unknot())), Kfam())"
+        assert fold(e, step)[e] == "Sum(Ksat(Wh0(Fig8()), Sum(Trefoil(), Unknot())), Kfam())"
         assert visited == ["Fig8", "Wh0", "Trefoil", "Unknot", "Sum", "Ksat", "Kfam", "Sum"]
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
@@ -214,7 +216,7 @@ class TestFold:
         nested, right = Fig8(), Fig8()
         for _ in range(depth):
             nested, right = Wh0(nested), Sum(Atom("A", 1), right)
-        assert fold(nested, lambda node, kids: 1 + sum(kids)) == depth + 1
+        assert fold(nested, lambda node, kids: 1 + sum(kids))[nested] == depth + 1
         assert render(nested).count("wh0(") == depth
         assert classical.facts_of(nested).genus == classical.IntInterval.point(1)
         assert firstorder.first_order_genus(nested).lo == 2
@@ -382,17 +384,34 @@ class TestSharedFold:
         for e in self.shared_trees(2024, 600):
             want = fold_per_occurrence(e, firstorder.step)
             for tree in (e, parse(render(e))):
-                got = fold(tree, firstorder.step)
+                got = fold(tree, firstorder.step)[tree]
                 assert got == want  # whole records: facts, bounds and guards
                 assert got.warnings() == want.warnings()
 
     def test_post_order_visits_each_distinct_subtree_once(self):
         for e in self.shared_trees(99, 200):
             visited, seen = [], []
-            fold(e, lambda node, kids: visited.append(node))
+            memo = fold(e, lambda node, kids: visited.append(node) or len(visited))
             fold_per_occurrence(e, lambda node, kids: seen.append(node))
             first = {id(node): node for node in seen}  # insertion order: first occurrence
             assert [id(n) for n in visited] == list(first)
+            # the memo is keyed by node in visit order, and the root's value comes last
+            assert list(memo) == visited
+            assert memo[e] == len(visited) == list(memo.values())[-1]
+
+    def test_deep_sharing_folds_each_distinct_subtree_once(self):
+        # 60 levels of x # x over wh0(fig8): 2^60 copies of the double and
+        # 62 distinct subtrees; a walk of the tree would take 2^60 steps.
+        # No report: its expression line alone would have 2^60 terms.
+        x = Wh0(Fig8())
+        for _ in range(60):
+            x = Sum(x, x)
+        start = time.perf_counter()
+        assert classical.alexander_of(x) == ONE
+        assert validate(x) == []
+        assert time.perf_counter() - start < 0.1  # about 1 ms on a 2-core VM
+        assert count_calls(firstorder.step.__code__, lambda: classical.alexander_of(x)) == 62
+        assert count_calls(firstorder.step.__code__, lambda: validate(x)) == 62
 
 
 class TestRender:
@@ -461,6 +480,15 @@ class TestRenderAgainstTheOracle:
         assert render(e, texts=texts) == render_oracle.render(e)
         for sub in subtrees(e):
             assert render(sub, texts=texts) == render_oracle.render(sub)
+
+    def test_a_reused_memo_spells_each_new_tree_its_own_text(self):
+        # the memo is keyed by node and so keeps the nodes it spells alive:
+        # a new tree never takes the key of one that died since
+        texts: dict = {}
+        for i in range(1, 201):
+            render(Wh0(Kfam(i)), texts=texts)  # the tree dies after the call
+            e = Wh0(Kfam(i + 1000))
+            assert render(e, texts=texts) == render_oracle.render(e) == f"wh0(kfam({i + 1000}), clasp=+)"
 
     def test_report_spells_each_distinct_subtree_once(self):
         for d in (1, 4, 10):
