@@ -1,6 +1,6 @@
 """The classical view of a construction tree's root.
 
-Reads off the root's record in the memo of `fold(e, firstorder.step)`,
+Reads off the memo of `fold(e, firstorder.step)`, the root's record last,
 with per-rule provenance: a genus interval, the Alexander polynomial, a
 sliceness tri-state, membership in class R (nontrivial knots that are
 neither torus nor cable knots), and triviality.  Every rule is either an
@@ -8,7 +8,7 @@ exact closed form for a node type or a conservative interval; nothing is
 ever guessed.  The step gives each fact its value and rule id, and
 `firstorder._ANCHORS` its anchor; the Alexander fact is the `#` spine's
 multiset of genus-one factors, which `_alexander` counts in one backward
-pass over the memo and multiplies out once.
+pass over the memo, node by node, and multiplies out once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections
 
 from .firstorder import _ANCHORS, IntInterval, NodeFacts, _satellite, step
-from .knotlang import KnotExpr, Ksat, TriState, fold, render
+from .knotlang import KnotExpr, Ksat, Sum, TriState, fold, render
 from .laurent import LaurentPoly
 
 Provenance = collections.namedtuple("Provenance", "fact rule anchor")
@@ -55,22 +55,22 @@ def satellite_of_first(e: Ksat) -> TriState:
 def _alexander(records: dict[KnotExpr, NodeFacts]) -> LaurentPoly | None:
     """The canonical product of q_k^e over the root's spine multiset {k: e},
     or None if an atom is on the spine.  `records` is the root's `fold`
-    memo, where a summand's record precedes every `#` record that holds
-    it and the root's comes last, so one backward pass hands each spine
-    record's count of paths from the root on to its summands.  The largest
+    memo, where a node precedes every parent and the root comes last, so
+    one backward pass hands each spine node's count of paths from the
+    root on to its summands, a `#`'s children.  The largest
     power is one Miller pass (`LaurentPoly.__pow__`), and every other
     factor is multiplied in one copy at a time, so no two powers meet in
     `__mul__`.  A copy costs the length times the size of the coefficients
     so far, so factors go smallest 1-norm first."""
-    root = next(reversed(records.values()))
-    if root.factors is None:
+    root, record = next(reversed(records.items()))
+    if record.factors is None:
         return None
-    paths, factors = {id(root): 1}, {}  # by id, as distinct nodes may have equal records
-    for record in reversed(records.values()):
-        n = paths.get(id(record))
+    paths, factors = {root: 1}, {}
+    for node, record in reversed(records.items()):
+        n = paths.get(node)
         if n:
-            for summand in record.summands:
-                paths[id(summand)] = paths.get(id(summand), 0) + n
+            for summand in node.children() if node.__class__ is Sum else ():
+                paths[summand] = paths.get(summand, 0) + n
             for k, e in record.factors:
                 factors[k] = factors.get(k, 0) + n * e
     ordered = sorted(factors.items(), key=lambda factor: 2 * abs(factor[0]) + abs(2 * factor[0] - 1))
@@ -115,13 +115,13 @@ def alexander_of(e: KnotExpr) -> LaurentPoly | None:
 
 def facts_of(e: KnotExpr) -> KnotFacts:
     """All classical invariants with one provenance record per fact."""
-    return knot_facts(e, fold(e, step))
+    return knot_facts(fold(e, step))
 
 
-def knot_facts(e: KnotExpr, records: dict[KnotExpr, NodeFacts]) -> KnotFacts:
-    """e's classical invariants and provenance, read off its `fold` memo
-    alone; the Alexander polynomial is built once, from its multiset."""
-    facts, alexander = records[e], _alexander(records)
+def knot_facts(records: dict[KnotExpr, NodeFacts]) -> KnotFacts:
+    """The classical invariants and provenance of the memo's root, its last
+    entry; the Alexander polynomial is built once, from its multiset."""
+    (e, facts), alexander = next(reversed(records.items())), _alexander(records)
     provenance = tuple([Provenance(fact, rule, _ANCHORS[rule]) for fact, rule in (
         *zip(("genus", "alexander", "slice"), facts.rules),
         ("in_R", "class-r/definition"), ("trivial", "trivial/genus"))])

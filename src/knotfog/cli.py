@@ -41,7 +41,7 @@ from .laurent import ONE
 
 
 class Report(collections.namedtuple("Report", "expression facts fog warnings")):
-    """Three readers of the root record of one `fold(expr, firstorder.step)`;
+    """Three readers of the memo of one `fold(expr, firstorder.step)`;
     no recomputation.  `facts` is a KnotFacts, `fog` a FirstOrderResult
     and `warnings` a tuple of strings."""
 
@@ -73,13 +73,12 @@ def report(expr: KnotExpr) -> Report:
     `fold(expr, firstorder.step)` and its root's record.  The expression
     line and the warnings share one `render` memo, so each subtree a
     warning names is spelled once; the memo lives for this call."""
-    records = fold(expr, firstorder.step)
-    record, texts = records[expr], {}
+    records, texts = fold(expr, firstorder.step), {}
     return Report(
         expression=render(expr, texts=texts),
-        facts=classical.knot_facts(expr, records),
-        fog=firstorder.first_order_result(record),
-        warnings=tuple(record.warnings(texts)),
+        facts=classical.knot_facts(records),
+        fog=firstorder.first_order_result(records[expr]),
+        warnings=tuple(firstorder.warnings(records, texts)),
     )
 
 

@@ -23,9 +23,9 @@ upper bounds
 
 Unknown simply stays unknown: hi = None whenever no certificate exists.
 `step` is the one fold step of a report: one `NodeFacts` per node holds
-its classical facts and these bounds, with their rule ids, and
-`_ANCHORS` is the one rule table of both engines.  This module imports
-no other engine; `classical` reads the root's record.
+its facts and these bounds, with rule ids, and names child nodes, never
+records.  `_ANCHORS` is the one rule table of both engines.  This module
+imports no other engine; `classical` and `warnings` walk `fold`'s memo.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def min_basis_bound(g_alpha: int, g_beta: int) -> tuple[int, BasisWitness]:
 def first_order_genus(e: KnotExpr) -> FirstOrderResult:
     """Certified interval for the first-order genus, with provenance.
 
-    A guard that is not established disables its rule and becomes one of
-    `NodeFacts.warnings`.  `cli.report` folds `step` itself.
+    A guard that is not established disables its rule and becomes a
+    warning of `warnings`.  `cli.report` folds `step` itself.
     """
     return first_order_result(fold(e, step)[e])
 
@@ -234,38 +234,39 @@ _ANCHORS = {
 
 
 class NodeFacts(collections.namedtuple(
-        "NodeFacts", "genus trivial slice in_R factors summands rules failed warned lo hi")):
+        "NodeFacts", "genus trivial slice in_R factors rules failed warned lo hi")):
     """One node's record from `firstorder.step`; `rules` names its genus,
     Alexander and slice rules, and its first-order bounds `lo` and `hi`
-    (None if unknown) are (value, rule id) pairs.  The Alexander fact,
-    the `#` spine's multiset of q_k = `genus_one_alexander(k)`, takes
-    O(1) per node: a spine leaf's `factors` are its (k, e) pairs, k != 0,
-    a `#`'s `summands` its two records, and `factors` is None if an atom
-    is on the spine.  `failed` pairs the warning of each closed-form
-    guard failing at the node with the subtree it names; `warned` holds
-    the child records under which a guard fails.  `genus` is an
-    IntInterval, and `trivial`, `slice` and `in_R` are TriStates.  The
-    records are namedtuple subclasses, not `typing.NamedTuple`s, so that
-    a CLI process does not import `typing`."""
+    (None if unknown) are (value, rule id) pairs.  The Alexander fact, the
+    `#` spine's multiset of q_k = `genus_one_alexander(k)`, takes O(1) per
+    node: `factors` are a spine leaf's (k, e) pairs, k != 0, () on a `#`,
+    or None if an atom is on the spine.  `failed` pairs the warning of each
+    closed-form guard failing at the node with the subtree it names, and
+    `warned` holds the child nodes under which a guard fails.  A record
+    names nodes, never records: equal records have equal facts, bounds,
+    guards and named nodes, and no compare, hash, repr or pickle recurses.
+    `genus` is an IntInterval, and `trivial`, `slice` and `in_R` TriStates.
+    Records are namedtuples, not `typing.NamedTuple`s: no CLI imports `typing`."""
 
     __slots__ = ()
 
-    def warnings(self, texts: dict | None = None) -> list[str]:
-        """A warning per closed-form guard failing in the subtree, pre-order.
-        Each named subtree is rendered once, through `texts`, `render`'s
-        memo keyed by node; a subtree it already spells is a lookup."""
-        warnings: list[str] = []
-        texts = {} if texts is None else texts
-        stack = [self]
-        while stack:
-            facts = stack.pop()
-            for message, sub in facts.failed:
-                text = texts.get(sub)
-                if text.__class__ is not str:  # not yet joined: `render` joins or spells it
-                    text = render(sub, texts=texts)
-                warnings.append(message + text)
-            stack.extend(reversed(facts.warned))
-        return warnings
+
+def warnings(records: dict[KnotExpr, NodeFacts], texts: dict | None = None) -> list[str]:
+    """A warning per closed-form guard failing under the memo's root, its last
+    entry, in pre-order.  Each named subtree is rendered once, through `texts`,
+    `render`'s memo keyed by node; a subtree it already spells is a lookup."""
+    out: list[str] = []
+    texts = {} if texts is None else texts
+    stack = [next(reversed(records))]
+    while stack:
+        facts = records[stack.pop()]
+        for message, sub in facts.failed:
+            text = texts.get(sub)
+            if text.__class__ is not str:  # not yet joined: `render` joins or spells it
+                text = render(sub, texts=texts)
+            out.append(message + text)
+        stack.extend(reversed(facts.warned))
+    return out
 
 
 def _satellite(framing: int, other_trivial: TriState) -> TriState:
@@ -303,7 +304,7 @@ def step(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
     record from its children's.  One branch per node class, tested by
     identity (node classes are final), chooses each fact with its rule id,
     evaluates the node's closed-form guards, here only (the bounds and
-    `NodeFacts.warnings` read `failed`), and names the first-order rule
+    `warnings` read `failed`), and names the first-order rule
     that fires there, if any; each certificate is checked after the
     branch.  No companion adds a factor.
 
@@ -322,8 +323,7 @@ def step(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
     cls = e.__class__
     torus, cable, slice_ = e.flags  # all unknown on composite nodes
     failed: list[tuple[str, KnotExpr]] = []
-    factors: tuple[tuple[int, int], ...] | None = ()  # unknot, doubles
-    summands: tuple[NodeFacts, ...] = ()
+    factors: tuple[tuple[int, int], ...] | None = ()  # unknot, doubles, spine sums
     lo = hi = cert = None  # cert: a (certificate, rule id) pair, checked below
     if cls is Unknot:
         genus, slice_ = IntInterval.point(0), TriState.YES
@@ -347,7 +347,7 @@ def step(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         if left.factors is None or right.factors is None:
             factors, alexander_rule = None, "alexander/unknown-summand"
         else:  # the multiset sum, added up by `classical._alexander`
-            summands, alexander_rule = (left, right), "alexander/connected-sum"
+            alexander_rule = "alexander/connected-sum"
         rules = "genus/connected-sum", alexander_rule, slice_rule
         if left.hi is not None and right.hi is not None:
             hi = left.hi[0] + right.hi[0], "first-order/subadditive"
@@ -402,5 +402,5 @@ def step(e: KnotExpr, kids: list[NodeFacts]) -> NodeFacts:
         lo = hi = 0, "first-order/unknot"
     if hi is not None and lo[0] > hi[0]:
         raise AssertionError(f"inconsistent first-order bounds [{lo[0]}, {hi[0]}]: engine rules disagree")
-    warned = tuple([k for k in kids if k.failed or k.warned])
-    return NodeFacts(genus, trivial, slice_, in_r, factors, summands, rules, tuple(failed), warned, lo, hi)
+    warned = tuple([node for node, k in zip(e.children(), kids) if k.failed or k.warned])
+    return NodeFacts(genus, trivial, slice_, in_r, factors, rules, tuple(failed), warned, lo, hi)

@@ -566,4 +566,4 @@ def validate(e: KnotExpr) -> list[str]:
     """
     from . import firstorder  # the fold step sits above the language layer
 
-    return fold(e, firstorder.step)[e].warnings()
+    return firstorder.warnings(fold(e, firstorder.step))

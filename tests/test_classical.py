@@ -421,8 +421,9 @@ class TestMaterialization:
 
     @pytest.mark.parametrize("tail", [" # atom(A, genus=1)", ""], ids=["atom-last", "atom-free"])
     def test_chain_of_distinct_factors_folds_in_linear_time(self, tail):
-        # each ksat has its own k = m*n; a `#` record holds its summands'
-        # records, not a copy of their multisets, so the fold stays linear
+        # each ksat has its own k = m*n; a `#` record holds no copy of its
+        # summands' multisets, which `_alexander` counts in one pass over
+        # the memo, so the fold stays linear
         e = parse(" # ".join(f"ksat(fig8, fig8, 1, {n})" for n in range(1, 5001)) + tail)
         start = time.perf_counter()
         got = cli.report(e).facts if tail else genus_of(e)

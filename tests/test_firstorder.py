@@ -1,5 +1,7 @@
 import ast
+import pickle
 import random
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -436,12 +438,29 @@ class TestOneFoldStep:
 
     def test_fold_gives_a_record_with_bounds(self):
         e = parse("wh0(kfam(2)) # trefoil")
-        record = fold(e, step)[e]
+        records = fold(e, step)
+        record = records[e]
         assert record.__class__ is NodeFacts
         assert (record.lo, record.hi) == ((4, "first-order/twice-genus"), (5, "first-order/subadditive"))
-        double = record.summands[0]
+        double = records[e.left]
         assert (double.lo, double.hi) == ((3, "first-order/double-enumerator"),
                                           (3, "first-order/double-certificate"))
+
+    @pytest.mark.parametrize("leaf", ["trefoil", "wh0(trefoil)"])
+    def test_long_chain_root_records_compare_hash_print_and_pickle(self, leaf):
+        # 10^4 summands at the interpreter's default recursion limit; under
+        # wh0(trefoil) a guard fails at every leaf, so `warned` is non-empty
+        # along the whole spine.  A record names its children by node, so
+        # none of these walks the chain.
+        assert sys.getrecursionlimit() == 1000
+        e = parse(" # ".join([leaf] * 10 ** 4))
+        first, second = fold(e, step)[e], fold(e, step)[e]
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert repr(first).startswith("NodeFacts(genus=IntInterval(lo=10000, hi=10000)")
+        assert pickle.loads(pickle.dumps(first)) == first
+        assert first.warned == ((e.left, e.right) if leaf != "trefoil" else ())
 
 
 class TestRuntimeChecks:
@@ -459,7 +478,7 @@ class TestRuntimeChecks:
         e = parse("wh0(fig8)")
         with pytest.raises(AssertionError, match=r"^Alexander polynomial of wh0\(fig8, clasp=\+\) "
                                                  r"fails the determinant-one check$"):
-            classical.knot_facts(e, fold(e, step))
+            classical.knot_facts(fold(e, step))
 
     def test_both_raise_under_optimization(self):
         proc = run_python("-O", "-c", (
@@ -476,7 +495,7 @@ class TestRuntimeChecks:
             "firstorder.min_basis_bound = bound\n"
             "classical._alexander = lambda facts: LaurentPoly(0, (1, 1))\n"
             "try:\n"
-            "    classical.knot_facts(e, fold(e, firstorder.step))\n"
+            "    classical.knot_facts(fold(e, firstorder.step))\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"))
         assert (proc.returncode, proc.stdout.splitlines()) == (0, [

@@ -381,12 +381,24 @@ class TestSharedFold:
             yield e
 
     def test_fold_matches_the_per_occurrence_oracle(self):
+        def occurrence(node, kids):
+            # each occurrence's record and its warnings, own guards first,
+            # then each child's in text order: a pre-order walk of the tree
+            record = firstorder.step(node, [kid[0] for kid in kids])
+            occurrences.append((node, record))
+            own = [message + render(sub) for message, sub in record.failed]
+            return record, own + [w for kid in kids for w in kid[1]]
+
         for e in self.shared_trees(2024, 600):
-            want = fold_per_occurrence(e, firstorder.step)
+            occurrences = []
+            want = fold_per_occurrence(e, occurrence)[1]
             for tree in (e, parse(render(e))):
-                got = fold(tree, firstorder.step)[tree]
-                assert got == want  # whole records: facts, bounds and guards
-                assert got.warnings() == want.warnings()
+                memo = fold(tree, firstorder.step)
+                assert set(memo) == {node for node, _ in occurrences}
+                for node, record in occurrences:
+                    # whole records: facts, bounds, guards and named child nodes
+                    assert memo[node] == record
+                assert firstorder.warnings(memo) == want
 
     def test_post_order_visits_each_distinct_subtree_once(self):
         for e in self.shared_trees(99, 200):

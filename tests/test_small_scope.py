@@ -26,9 +26,10 @@ import pytest
 
 import facts_oracle
 import seifert_oracle
+import test_knotlang
 from test_knotlang import NODE_CLASSES, subtrees
 from knotfog import cli, firstorder
-from knotfog.knotlang import Ksat, Sum, Wh0, parse, render
+from knotfog.knotlang import Ksat, Sum, Wh0, fold, parse, render
 from knotfog.laurent import unit_equivalent
 
 LEAVES = ("unknot", "trefoil", "fig8", "kfam(1)", "kfam(2)", "atom(A, genus=1)",
@@ -118,6 +119,23 @@ def test_every_warning_names_a_subtree(reports):
         texts = {render(sub) for sub in subtrees(e)}
         for warning in report.warnings:
             assert any(warning.endswith(": " + text) for text in texts), (render(e), warning)
+
+
+def test_records_name_nodes_never_records(reports):
+    # the fold's memo is the one table of records: no field of a record,
+    # looking inside tuples too, is a record, and every node a record
+    # names, in `failed` or in `warned`, is a key of the same memo
+    for e in [*reports, *test_knotlang.TestSharedFold().shared_trees(2024, 600)]:
+        memo = fold(e, firstorder.step)
+        for record in memo.values():
+            fields = list(record)
+            while fields:
+                value = fields.pop()
+                assert value.__class__ is not firstorder.NodeFacts, render(e)
+                if isinstance(value, tuple):
+                    fields.extend(value)
+            for node in (*[sub for _, sub in record.failed], *record.warned):
+                assert node in memo, render(e)
 
 
 def test_rule_tuples_reached(reports):
